@@ -24,7 +24,6 @@ void SaveScalars(serde::BinaryWriter& w, const Engine::ScalarState& s) {
   w.I64(s.high_mark);
   w.I64(s.next_finalize);
   w.I64(s.results_floor);
-  w.U64(s.events_since_sweep);
   w.I64(s.wm.watermark);
   w.I64(s.wm.safe_point);
   w.U64(s.wm.late_dropped);
@@ -35,6 +34,7 @@ void SaveScalars(serde::BinaryWriter& w, const Engine::ScalarState& s) {
   w.U64(s.wm.suppressed_cells);
   w.U64(s.wm.regressions);
   w.U64(s.wm.buffered_peak);
+  w.U64(s.wm.state_sweeps);
 }
 
 Engine::ScalarState LoadScalars(serde::BinaryReader& r) {
@@ -44,7 +44,6 @@ Engine::ScalarState LoadScalars(serde::BinaryReader& r) {
   s.high_mark = r.I64();
   s.next_finalize = r.I64();
   s.results_floor = r.I64();
-  s.events_since_sweep = r.U64();
   s.wm.watermark = r.I64();
   s.wm.safe_point = r.I64();
   s.wm.late_dropped = r.U64();
@@ -55,6 +54,7 @@ Engine::ScalarState LoadScalars(serde::BinaryReader& r) {
   s.wm.suppressed_cells = r.U64();
   s.wm.regressions = r.U64();
   s.wm.buffered_peak = r.U64();
+  s.wm.state_sweeps = r.U64();
   return s;
 }
 

@@ -59,7 +59,7 @@ inline constexpr uint32_t kMagic = 0x4b434853;
 
 /// Format version; bumped on any frame-schema change. Restore refuses a
 /// mismatched version outright (no cross-version migration).
-inline constexpr uint32_t kFormatVersion = 1;
+inline constexpr uint32_t kFormatVersion = 2;
 
 /// Name of the coordinator-written manifest inside a checkpoint
 /// directory. Written LAST: its presence marks the checkpoint complete.

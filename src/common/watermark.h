@@ -101,6 +101,7 @@ struct WatermarkStats {
   uint64_t suppressed_cells = 0;  ///< cells discarded below a results floor
   uint64_t regressions = 0;       ///< non-advancing watermarks (ignored)
   uint64_t buffered_peak = 0;     ///< reorder-buffer high-mark (events)
+  uint64_t state_sweeps = 0;      ///< expiry walks, one per window boundary
 
   /// Folds another executor's COUNTERS in, leaving watermark/safe_point
   /// untouched — for rollups whose frontier comes from elsewhere (e.g. a
@@ -115,6 +116,7 @@ struct WatermarkStats {
     suppressed_cells += o.suppressed_cells;
     regressions += o.regressions;
     buffered_peak += o.buffered_peak;
+    state_sweeps += o.state_sweeps;
   }
 
   /// Folds another executor's counters in (MultiEngine / runtime rollups).

@@ -58,6 +58,7 @@ void ChainRunner::TakeSnapshot(size_t stage, const Event& e) {
     snap.per_pane = TakePaneVector();
     snap.per_pane.push_back({window_.PaneOf(e.time), AggState::Identity()});
     stages_[0].push_back(std::move(snap));
+    ++live_panes_;
     return;
   }
 
@@ -93,6 +94,7 @@ void ChainRunner::TakeSnapshot(size_t stage, const Event& e) {
     pane_pool_.push_back(std::move(acc));
     return;
   }
+  live_panes_ += acc.size();
   snap.per_pane = std::move(acc);
   stages_[stage].push_back(std::move(snap));
 }
@@ -162,7 +164,7 @@ void ChainRunner::EmitFinal(const Event& e, AttrValue group,
   }
 }
 
-bool ChainRunner::PrunePanes(Snapshot& s, Timestamp now) const {
+bool ChainRunner::PrunePanes(Snapshot& s, Timestamp now) {
   // Pane p feeds windows j <= p; the newest of them ends at
   // p*slide + length. Once now passes that, the pane is dead.
   auto& v = s.per_pane;
@@ -172,20 +174,26 @@ bool ChainRunner::PrunePanes(Snapshot& s, Timestamp now) const {
     ++drop;
   }
   if (drop > 0) v.erase(v.begin(), v.begin() + drop);
+  live_panes_ -= drop;
   return !v.empty();
 }
 
 size_t ChainRunner::ExpireBefore(Timestamp now) {
   size_t panes_freed = 0;
-  for (auto& stage : stages_) {
+  for (size_t k = 0; k < stages_.size(); ++k) {
+    auto& stage = stages_[k];
     while (!stage.empty() && window_.Expired(stage.front().start_time, now)) {
       panes_freed += std::max<size_t>(stage.front().per_pane.size(), 1);
+      live_panes_ -= stage.front().per_pane.size();
       pane_pool_.push_back(std::move(stage.front().per_pane));
       stage.pop_front();
     }
-    // Snapshots whose own start is live may still hold dead panes (the
-    // chain's first event is older than the snapshot); prune those too so
-    // watermark-driven eviction leaves only reachable state behind.
+    // A stage-0 snapshot holds only its own start's pane, which dies
+    // exactly when the snapshot expires. Later-stage snapshots whose own
+    // start is live may still hold dead panes (the chain's first event is
+    // older than the snapshot); prune those too so watermark-driven
+    // eviction leaves only reachable state behind.
+    if (k == 0) continue;
     for (size_t i = 0; i < stage.size(); ++i) {
       Snapshot& s = stage[i];
       const size_t before = s.per_pane.size();
@@ -197,11 +205,14 @@ size_t ChainRunner::ExpireBefore(Timestamp now) {
 }
 
 size_t ChainRunner::NumLivePanes() const {
+#ifndef NDEBUG
   size_t n = 0;
   for (const auto& stage : stages_) {
     for (size_t i = 0; i < stage.size(); ++i) n += stage[i].per_pane.size();
   }
-  return n;
+  assert(n == live_panes_ && "live pane count out of step");
+#endif
+  return live_panes_;
 }
 
 bool ChainRunner::Empty() const {
@@ -233,20 +244,21 @@ std::string ChainRunner::LoadState(serde::BinaryReader& r) {
     return "chain stage count mismatch (plan does not match the "
            "checkpointed plan)";
   }
-  for (auto& stage : stages_) {
-    serde::LoadRingDeque(r, stage, [](serde::BinaryReader& in, Snapshot& s) {
-      s.start = in.U64();
-      s.start_time = in.I64();
-      const uint64_t npanes = in.U64();
-      s.per_pane.clear();
-      for (uint64_t i = 0; i < npanes && in.ok(); ++i) {
-        PaneAgg pa;
-        pa.pane = in.I64();
-        pa.agg = LoadAggState(in);
-        s.per_pane.push_back(pa);
-      }
-    });
-  }
+  live_panes_ = 0;
+  auto load = [this](serde::BinaryReader& in, Snapshot& s) {
+    s.start = in.U64();
+    s.start_time = in.I64();
+    const uint64_t npanes = in.U64();
+    s.per_pane.clear();
+    for (uint64_t i = 0; i < npanes && in.ok(); ++i) {
+      PaneAgg pa;
+      pa.pane = in.I64();
+      pa.agg = LoadAggState(in);
+      s.per_pane.push_back(pa);
+    }
+    live_panes_ += s.per_pane.size();
+  };
+  for (auto& stage : stages_) serde::LoadRingDeque(r, stage, load);
   if (!r.ok()) return "chain runner state truncated";
 #ifndef NDEBUG
   // The restored engine releases only events at or above its reorder
@@ -258,13 +270,8 @@ std::string ChainRunner::LoadState(serde::BinaryReader& r) {
 }
 
 size_t ChainRunner::EstimatedBytes() const {
-  size_t bytes = 0;
-  for (const auto& stage : stages_) {
-    bytes += stage.size() * sizeof(Snapshot);
-    for (size_t i = 0; i < stage.size(); ++i) {
-      bytes += stage[i].per_pane.size() * sizeof(PaneAgg);
-    }
-  }
+  size_t bytes = live_panes_ * sizeof(PaneAgg);
+  for (const auto& stage : stages_) bytes += stage.size() * sizeof(Snapshot);
   return bytes;
 }
 

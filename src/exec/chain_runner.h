@@ -75,12 +75,13 @@ class ChainRunner {
   size_t num_stages() const { return counters_.size(); }
 
   /// Live pane buckets across all stage snapshots (bounded-state census).
+  /// O(1).
   size_t NumLivePanes() const;
 
   /// True when no snapshot state is held (group state is evictable).
   bool Empty() const;
 
-  /// Logical state footprint in bytes (snapshots).
+  /// Logical state footprint in bytes (snapshots). O(stages).
   size_t EstimatedBytes() const;
 
   // --- checkpoint/restore (src/checkpoint/) -----------------------------
@@ -115,7 +116,7 @@ class ChainRunner {
   void EmitFinal(const Event& e, AttrValue group, ResultCollector& out);
 
   /// Drops expired panes from a snapshot; true if anything remains.
-  bool PrunePanes(Snapshot& s, Timestamp now) const;
+  bool PrunePanes(Snapshot& s, Timestamp now);
 
   /// A recycled (or fresh) empty pane vector from the pool.
   std::vector<PaneAgg> TakePaneVector();
@@ -127,6 +128,10 @@ class ChainRunner {
   /// pool: snapshot birth and expiration allocate nothing in steady
   /// state (DESIGN.md "Hot-path memory layout").
   std::vector<RingDeque<Snapshot>> stages_;
+  /// Pane buckets across all snapshots, kept in step with every per_pane
+  /// change so the census and the byte estimate cost O(stages), not a
+  /// walk over every snapshot.
+  size_t live_panes_ = 0;
   std::vector<std::vector<PaneAgg>> pane_pool_;  ///< recycled per_pane buffers
   std::vector<PaneAgg> pane_batch_;    ///< EmitFinal scratch (reused)
   std::vector<AggState> window_batch_; ///< EmitFinal per-window scratch

@@ -242,6 +242,7 @@ void Engine::OnEvent(const Event& e) {
 
 void Engine::ProcessOrdered(const Event& e) {
   now_ = e.time;
+  if (now_ >= next_boundary_) SweepState(now_);
   const CompiledEngine& compiled = *compiled_;
   if (e.type >= compiled.counters_by_type.size()) return;
   const AttrValue g =
@@ -254,18 +255,6 @@ void Engine::ProcessOrdered(const Event& e) {
     gs.chains[chi].OnEvent(e, g, sink());
   }
   ++gs.events_seen;
-  if (++events_since_sweep_ >= kSweepInterval) {
-    events_since_sweep_ = 0;
-    for (auto& [gv, state] : groups_) {
-      for (auto& c : state.counters) {
-        wm_stats_.evicted_panes += c->ExpireBefore(now_);
-      }
-      for (auto& ch : state.chains) {
-        wm_stats_.evicted_panes += ch.ExpireBefore(now_);
-      }
-    }
-    memory_.Set(EstimatedBytes());
-  }
 }
 
 void Engine::SetDisorderPolicy(const DisorderPolicy& policy) {
@@ -349,30 +338,36 @@ void Engine::AdvanceWatermark(Timestamp t) {
     }
   }
 
-  // 3. Evict state that can no longer reach an open window.
-  if (policy_.evict && safe >= 0) EvictBefore(safe);
+  // 3. Evict state that can no longer reach an open window — only when
+  //    the safe point enters a new epoch; inside one nothing can expire.
+  if (policy_.evict && safe >= next_boundary_) SweepState(safe);
 }
 
-void Engine::EvictBefore(Timestamp safe) {
+void Engine::SweepState(Timestamp t) {
+  const WindowSpec& window = compiled_->window;
+  next_boundary_ = window.Valid()
+                       ? window.WindowEnd(window.FirstWindowCovering(t))
+                       : std::numeric_limits<Timestamp>::max();
+  ++wm_stats_.state_sweeps;
+  memory_.Set(EstimatedBytes());  // before expiring: the epoch's peak
   for (auto it = groups_.begin(); it != groups_.end();) {
     GroupState& state = it->second;
     bool empty = true;
     for (auto& c : state.counters) {
-      wm_stats_.evicted_panes += c->ExpireBefore(safe);
+      wm_stats_.evicted_panes += c->ExpireBefore(t);
       empty = empty && c->num_live_starts() == 0;
     }
     for (auto& ch : state.chains) {
-      wm_stats_.evicted_panes += ch.ExpireBefore(safe);
+      wm_stats_.evicted_panes += ch.ExpireBefore(t);
       empty = empty && ch.Empty();
     }
-    if (empty) {
+    if (empty && policy_.enabled && policy_.evict) {
       ++wm_stats_.evicted_groups;
       it = groups_.erase(it);
     } else {
       ++it;
     }
   }
-  memory_.Set(EstimatedBytes());
 }
 
 void Engine::CloseStream() {
@@ -452,7 +447,6 @@ Engine::ScalarState Engine::SaveScalarState() const {
   s.high_mark = high_mark_;
   s.next_finalize = next_finalize_;
   s.results_floor = results_floor_;
-  s.events_since_sweep = events_since_sweep_;
   s.wm = wm_stats_;
   return s;
 }
@@ -462,7 +456,6 @@ void Engine::RestoreScalarState(const ScalarState& s) {
   frontier_ = s.frontier;
   high_mark_ = s.high_mark;
   next_finalize_ = s.next_finalize;
-  events_since_sweep_ = s.events_since_sweep;
   wm_stats_ = s.wm;
   // Recomputes floor_limit_ from the restored floor (kNoWatermark keeps
   // the no-floor default).

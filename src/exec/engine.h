@@ -17,6 +17,7 @@
 #define SHARON_EXEC_ENGINE_H_
 
 #include <functional>
+#include <limits>
 #include <memory>
 #include <queue>
 #include <string>
@@ -123,10 +124,11 @@ class Engine {
   /// Applies watermark `t` (the stream's observed high-mark): releases
   /// buffered events below the safe point t - max_lateness in time order,
   /// finalizes every window whose close does not exceed the safe point
-  /// (its staged cells move to results() exactly once), and evicts
-  /// counter/snapshot/group state that can no longer reach an open
-  /// window. Non-advancing watermarks are counted and ignored. No-op
-  /// unless a disorder policy is enabled.
+  /// (its staged cells move to results() exactly once), and — when the
+  /// safe point crosses a window boundary — evicts counter/snapshot/group
+  /// state that can no longer reach an open window. Non-advancing
+  /// watermarks are counted and ignored. No-op unless a disorder policy is
+  /// enabled.
   void AdvanceWatermark(Timestamp t);
 
   /// End of stream: advances the watermark far enough to release every
@@ -184,8 +186,13 @@ class Engine {
   const CompiledPlanHandle& compiled_handle() const { return compiled_; }
   const Workload& workload() const { return *workload_; }
 
-  /// Current logical state bytes across all groups.
+  /// Current logical state bytes across all groups. Walks all state.
   size_t EstimatedBytes() const;
+  /// State bytes sampled at the last window-boundary sweep, O(1).
+  /// Counter and chain state only grows between sweeps, so each sample is
+  /// the peak of the epoch it closes; peak_bytes() is the maximum over
+  /// samples.
+  size_t current_bytes() const { return memory_.current(); }
   size_t peak_bytes() const { return memory_.peak(); }
 
   /// Number of shared counter templates in the compiled plan.
@@ -208,7 +215,6 @@ class Engine {
     Timestamp high_mark = kNoWatermark;
     WindowId next_finalize = 0;
     Timestamp results_floor = kNoWatermark;
-    uint64_t events_since_sweep = 0;
     WatermarkStats wm;
   };
 
@@ -250,9 +256,15 @@ class Engine {
   /// The seed event path: in-order processing through counters + chains.
   void ProcessOrdered(const Event& e);
 
-  /// Watermark eviction: expires counter starts and snapshot panes
-  /// against `safe` and erases groups left with no state at all.
-  void EvictBefore(Timestamp safe);
+  /// The one state-maintenance walk. Every expiry test (counter starts,
+  /// snapshots, panes) compares a time with a window end j*slide + length,
+  /// so its answer depends only on the epoch FirstWindowCovering(t) and
+  /// cannot change between two boundaries: the walk runs once per epoch,
+  /// when event time or the safe point reaches next_boundary_. It samples
+  /// memory_ (before expiring: the peak of the closing epoch), expires
+  /// counter starts and snapshot panes against `t` and, under an evicting
+  /// disorder policy, erases groups left with no state at all.
+  void SweepState(Timestamp t);
 
   /// The collector chain emissions go to: staged under watermarking
   /// (finalization moves cells to results_), results_ otherwise.
@@ -267,9 +279,13 @@ class Engine {
   /// (DESIGN.md "Hot-path memory layout").
   FlatMap<AttrValue, GroupState, Mix64Hash> groups_;
   ResultCollector results_;
-  MemoryMeter memory_;
-  uint64_t events_since_sweep_ = 0;
+  MemoryMeter memory_;  ///< sampled by SweepState and at the end of Run
   Timestamp now_ = 0;
+  /// WindowEnd of the epoch of the last SweepState: the first tick at
+  /// which any expiry test can change its answer. Starts unset (lowest
+  /// tick) on every new, restored or swapped-in engine, so its first
+  /// event sweeps; not checkpointed.
+  Timestamp next_boundary_ = std::numeric_limits<Timestamp>::min();
 
   // --- watermark mode state ---------------------------------------------
   struct LaterTime {
@@ -287,8 +303,6 @@ class Engine {
   Timestamp results_floor_ = kNoWatermark;  ///< hot-swap handoff boundary
   WindowId floor_limit_ = 0;        ///< windows below this are suppressed
   const obs::EngineObs* obs_ = nullptr;  ///< optional telemetry handle
-
-  static constexpr uint64_t kSweepInterval = 4096;
 };
 
 }  // namespace sharon

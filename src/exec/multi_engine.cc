@@ -115,6 +115,7 @@ WatermarkStats MultiEngine::watermark_stats() const {
     out.evicted_groups += ws.evicted_groups;
     out.finalized_windows += ws.finalized_windows;
     out.finalized_cells += ws.finalized_cells;
+    out.state_sweeps += ws.state_sweeps;
   }
   return out;
 }

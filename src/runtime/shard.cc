@@ -237,9 +237,10 @@ void Shard::ApplyWatermark(Timestamp t) {
   const Timestamp cap = SwapWatermarkCap();
   engine_->AdvanceWatermark(std::min(t, cap));
   next_engine_->AdvanceWatermark(t);
+  // Boundary-sampled meters: O(1) per punctuation, no state walk.
   swap_record_.peak_dual_bytes =
       std::max(swap_record_.peak_dual_bytes,
-               engine_->EstimatedBytes() + next_engine_->EstimatedBytes());
+               engine_->current_bytes() + next_engine_->current_bytes());
   // Once the uncapped watermark implies safe point >= boundary, every
   // window the old engine owns is finalized — hand off.
   if (t >= cap) RetireOldEngine();

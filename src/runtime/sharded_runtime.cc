@@ -700,7 +700,6 @@ ShardedRuntime::RestoreOutcome ShardedRuntime::Restore(
         counters.watermark = base.wm.watermark;
         counters.safe_point = base.wm.safe_point;
         applied.wm = counters;
-        applied.events_since_sweep = 0;
         if (j == 0) {
           for (const auto& d : data) {
             applied.wm.MergeCountersFrom(d.segments[s].scalars.wm);

@@ -14,9 +14,11 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
 #include <map>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -364,13 +366,43 @@ TEST(ChurnLifecycle, RetiredIdReadableAfterCheckpointRestore) {
 
     // Checkpoint after the churn swap has retired on every shard (the
     // runtime refuses a cut mid-swap; feed watermarks until it accepts).
+    // After a refusal, let the workers catch up with what was fed before
+    // feeding more: on a loaded host they can trail the ingest thread far
+    // enough to exhaust the stream before they apply its watermarks.
     size_t i = f.arrivals.size() * 7 / 10;
     for (size_t j = churn_at; j < i; ++j) mgr.Ingest(f.arrivals[j]);
+    auto swap_in_flight = [&rt] {
+      for (size_t s = 0; s < rt.num_shards(); ++s) {
+        if (rt.shard_for_test(s).swap_in_flight()) return true;
+      }
+      return false;
+    };
+    auto caught_up = [&rt, &f, &i] {
+      Timestamp fed = kNoWatermark;
+      for (size_t j = i; j-- > 0;) {
+        if (IsWatermark(f.arrivals[j])) {
+          fed = f.arrivals[j].time;
+          break;
+        }
+      }
+      for (size_t s = 0; s < rt.num_shards(); ++s) {
+        if (rt.shard_for_test(s).watermark() < fed) return false;
+      }
+      return true;
+    };
     ShardedRuntime::CheckpointResult cp;
     for (;;) {
       cp = rt.Checkpoint(dir);
       if (cp.ok) break;
       ASSERT_EQ(cp.code, OpRefusal::kSwapInFlight) << cp.reason;
+      rt.Flush();
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (swap_in_flight() && (i == f.arrivals.size() || !caught_up()) &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      if (!swap_in_flight()) continue;
       ASSERT_LT(i, f.arrivals.size()) << "swap never retired";
       for (size_t n = 0; n < 200 && i < f.arrivals.size(); ++n) {
         mgr.Ingest(f.arrivals[i++]);
