@@ -7,15 +7,16 @@
 // if it had never stopped: finalized cells are bit-identical to an
 // uninterrupted run (tests/checkpoint_diff_test.cc).
 //
-// The cut uses the same in-band marker discipline as the plan hot-swap
-// (src/runtime/plan_swap.h): the ingest thread stages a command per shard
-// and broadcasts a marker punctuation ordered after everything routed so
-// far, each shard worker quiesces at the marker (it sits between batches,
-// so no event is mid-flight in an executor) and serializes its private
-// state, then resumes. Because every shard cuts at the same marker, and
-// watermark punctuations are broadcast identically to all shards, the
-// per-shard frontiers of the cut agree — that is what makes the boundary
-// invariant hold:
+// A checkpoint is a control operation, like the plan hot-swap, and takes
+// the same path (src/runtime/plan_swap.h): the ingest thread stages one
+// checkpoint-kind ControlCommand in every shard's control slot and
+// broadcasts the control marker ordered after everything routed so far;
+// each shard worker quiesces at the marker (it sits between batches, so no
+// event is mid-flight in an executor), serializes its private state into
+// the command's directory, then resumes. Because every shard cuts at the
+// same marker, and watermark punctuations are broadcast identically to all
+// shards, the per-shard frontiers of the cut agree — that is what makes
+// the boundary invariant hold:
 //
 //   Every window is finalized by exactly one process incarnation: windows
 //   finalized before the cut travel inside the checkpoint as immutable

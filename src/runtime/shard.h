@@ -14,15 +14,17 @@
 // the MINIMUM across producer frontiers — only ticks every producer has
 // vouched for are treated as complete.
 //
-// Control markers (swap/checkpoint, src/runtime/plan_swap.h) follow the
-// same per-channel discipline: the runtime broadcasts one marker per
-// channel, and the worker quiesces at the cut only once the marker of
-// EVERY channel arrived. After a channel delivers its marker, events
-// behind it are held in a worker-owned buffer; when the last channel
-// aligns, the control operation executes at a position ordered after
-// everything every producer routed before the request, and the held
-// events replay in order. With one channel the first marker completes
-// the alignment immediately — identical to the single-producer path.
+// Control operations (plan swap or checkpoint, src/runtime/plan_swap.h)
+// use one command slot and one marker: the runtime stages a ControlCommand
+// in the shard's slot, then broadcasts one control marker per channel, and
+// the worker quiesces at the cut only once the marker of EVERY channel
+// arrived, then runs the staged command by its kind. After a channel
+// delivers its marker, events behind it are held in a worker-owned buffer;
+// when the last channel aligns, the control operation executes at a
+// position ordered after everything every producer routed before the
+// request, and the held events replay in order. With one channel the first
+// marker completes the alignment immediately — identical to the
+// single-producer path.
 //
 // The shard never shares mutable state with other shards — the executor,
 // its group state and its ResultCollector are all private — so no locks
@@ -32,10 +34,10 @@
 #define SHARON_RUNTIME_SHARD_H_
 
 #include <atomic>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -50,18 +52,6 @@ namespace sharon::runtime {
 
 /// A batch of events owned by the queue while in flight.
 using EventBatch = std::vector<Event>;
-
-/// One checkpoint, as handed to a shard (side-channel, like SwapCommand;
-/// the in-band checkpoint marker only says "write the next staged
-/// checkpoint"). The worker serializes its executor state at the marker
-/// position and writes `path` itself — shard files are written in
-/// parallel, the coordinator only writes the manifest afterwards.
-struct CheckpointCommand {
-  uint64_t id = 0;         ///< checkpoint sequence number (runtime-wide)
-  Timestamp boundary = 0;  ///< watermark-aligned boundary recorded for the cut
-  size_t num_shards = 0;   ///< topology recorded into the shard header
-  std::string path;        ///< target file for THIS shard's frames
-};
 
 /// One (producer, shard) link: filled batches travel producer -> worker
 /// through `full`; emptied buffers travel worker -> producer through
@@ -128,36 +118,30 @@ class Shard {
   /// Producer side: no more batches will be enqueued on any channel.
   void SignalDone() { done_.store(true, std::memory_order_release); }
 
-  /// Producer side: stages a plan-swap command for pickup by the next
-  /// in-band swap marker (src/runtime/plan_swap.h). Must be followed by a
-  /// marker broadcast ordered after it; false if this shard cannot swap
-  /// (MultiEngine mode) or a swap is already in flight.
-  bool PushSwapCommand(const SwapCommand& cmd);
+  /// Producer side: stages a control command in the shard's one slot for
+  /// pickup by the next in-band control marker (src/runtime/plan_swap.h).
+  /// Must be followed by a marker broadcast ordered after it. False while
+  /// any control op is in flight on this shard (one slot: swaps and
+  /// checkpoints exclude each other), or for a swap this shard cannot run
+  /// (MultiEngine mode, no disorder policy, null plan).
+  bool PushControl(const ControlCommand& cmd);
 
-  /// Producer side: un-stages a command pushed by PushSwapCommand whose
-  /// marker has NOT been broadcast (partial-broadcast rollback).
-  void CancelSwapCommand();
+  /// Producer side: un-stages the command pushed by PushControl whose
+  /// marker has NOT been broadcast (partial-broadcast rollback). A no-op
+  /// once the worker took the command.
+  void CancelControl();
 
-  /// True from PushSwapCommand until the worker retires the old engine.
-  bool swap_in_flight() const {
-    return swap_in_flight_.load(std::memory_order_acquire);
+  /// The kind of the control op in flight: set by PushControl, cleared by
+  /// the worker when a swap retires its old engine or a checkpoint wrote
+  /// (or failed to write) its shard file.
+  ControlKind control_in_flight() const {
+    return in_flight_.load(std::memory_order_acquire);
   }
-
-  /// Producer side: stages a checkpoint for pickup by the next in-band
-  /// checkpoint marker (src/checkpoint/). Must be followed by a marker
-  /// broadcast ordered after it; false while a swap or another checkpoint
-  /// is in flight (the two operations are mutually exclusive — each needs
-  /// the executor set it cuts to be unambiguous).
-  bool PushCheckpointCommand(const CheckpointCommand& cmd);
-
-  /// Producer side: un-stages a command pushed by PushCheckpointCommand
-  /// whose marker has NOT been broadcast (partial-broadcast rollback).
-  void CancelCheckpointCommand();
-
-  /// True from PushCheckpointCommand until the worker wrote (or failed to
-  /// write) its shard file.
+  bool swap_in_flight() const {
+    return control_in_flight() == ControlKind::kSwap;
+  }
   bool checkpoint_in_flight() const {
-    return checkpoint_in_flight_.load(std::memory_order_acquire);
+    return control_in_flight() == ControlKind::kCheckpoint;
   }
 
   /// Outcome of the most recent completed checkpoint on this shard.
@@ -246,8 +230,9 @@ class Shard {
   /// for events held behind an aligned channel's marker.
   void HandleEvent(const Event& e, size_t p);
   /// Folds a control marker from channel `p` into the alignment state;
-  /// executes the staged operation once every channel's marker arrived,
-  /// then replays the held events.
+  /// once every channel's marker arrived, runs the staged command by kind
+  /// (BeginSwap / WriteCheckpoint; a marker with nothing staged runs
+  /// nothing), then replays the held events.
   void OnControlMarker(const Event& e, size_t p);
   /// Returns the emptied buffer to channel `p`'s free ring.
   void Recycle(size_t p, EventBatch&& batch);
@@ -255,8 +240,11 @@ class Shard {
   /// the new minimum over producer frontiers (if it moved).
   void MergeWatermark(size_t p, Timestamp t);
 
-  // --- plan hot-swap (worker thread only; see plan_swap.h) -------------
-  void BeginSwap();
+  // --- control ops (worker thread only; see plan_swap.h) ---------------
+  void BeginSwap(ControlCommand cmd);
+  /// Serializes the executor state at the marker and writes the shard
+  /// file into `cmd.dir` (src/checkpoint/).
+  void WriteCheckpoint(const ControlCommand& cmd);
   void ApplyWatermark(Timestamp t);
   void RetireOldEngine();
   Timestamp SwapWatermarkCap() const {
@@ -299,27 +287,17 @@ class Shard {
   obs::ShardCells* obs_cells_ = nullptr;
   obs::TraceRing* obs_ring_ = nullptr;
 
-  /// Worker thread only: pops the staged checkpoint command at the
-  /// in-band marker, serializes the executor state and writes the shard
-  /// file (src/checkpoint/).
-  void WriteCheckpoint();
-
-  // Swap state. Producer stages commands under swap_mu_; the worker owns
-  // everything else. swap_in_flight_ is the cross-thread handshake: set by
-  // the producer on push, cleared by the worker at retirement.
-  mutable std::mutex swap_mu_;
-  std::deque<SwapCommand> pending_swaps_;
-  std::atomic<bool> swap_in_flight_{false};
-
-  // Checkpoint state, same discipline as the swap state: commands staged
-  // under swap_mu_, checkpoint_in_flight_ set by the producer on push and
-  // cleared by the worker after the file write; the outcome fields are
-  // written by the worker under swap_mu_ before the flag clears.
-  std::deque<CheckpointCommand> pending_checkpoints_;
-  std::atomic<bool> checkpoint_in_flight_{false};
+  // Control state. The producer stages the command under control_mu_;
+  // the worker takes it at the aligned marker. in_flight_ is the
+  // cross-thread handshake: set by the producer on push, cleared by the
+  // worker when the op completes. The checkpoint outcome is written by the
+  // worker under control_mu_ before in_flight_ clears.
+  mutable std::mutex control_mu_;
+  std::optional<ControlCommand> staged_;
+  std::atomic<ControlKind> in_flight_{ControlKind::kNone};
   CheckpointOutcome checkpoint_outcome_;
   bool swap_active_ = false;       ///< worker picked the command up
-  SwapCommand swap_;               ///< the active swap
+  ControlCommand swap_;            ///< the active swap
   Timestamp tee_from_ = 0;         ///< overlap start B + slide - length
   std::unique_ptr<Engine> next_engine_;
   StopWatch swap_watch_;

@@ -271,115 +271,6 @@ void ShardedRuntime::IngestWatermark(Timestamp t) {
   partitions_[0]->IngestWatermark(t);
 }
 
-ShardedRuntime::SwapRequest ShardedRuntime::RequestPlanSwap(
-    CompiledPlanHandle plan) {
-  SwapRequest req;
-  auto refuse = [&](OpRefusal code, const char* why) {
-    req.code = code;
-    req.reason = why;
-    // Every refusal is visible to operators: PlanManager counts only its
-    // own rejections, so without this the runtime-side refusals (direct
-    // callers, races with in-flight ops) would be silent.
-    if (telemetry_) {
-      obs::ControlCells& cc = telemetry_->control_cells();
-      if (cc.swaps_rejected) cc.swaps_rejected->Inc();
-      if (obs::TraceRing* ring = telemetry_->control_ring()) {
-        ring->Emit(obs::TraceKind::kSwapRejected, kNoWatermark,
-                   static_cast<int64_t>(code));
-      }
-    }
-    return req;
-  };
-  if (!ok() || finished_) {
-    return refuse(OpRefusal::kNotRunning, "runtime not running");
-  }
-  if (!workload_) {
-    return refuse(
-        OpRefusal::kNotUniform,
-        "plan swap requires the uniform-workload runtime (MultiEngine "
-        "shards re-plan per segment; rebuild the runtime instead)");
-  }
-  if (!options_.disorder.enabled) {
-    return refuse(
-        OpRefusal::kNoDisorderPolicy,
-        "plan swap requires a disorder policy: watermarks are what drain "
-        "and retire the old engines");
-  }
-  if (!plan) return refuse(OpRefusal::kBadPlan, "null compiled plan");
-  if (plan->partition != partition_ || !(plan->window == window_)) {
-    return refuse(OpRefusal::kBadPlan,
-                  "new plan was compiled for a different workload");
-  }
-  for (const auto& shard : shards_) {
-    if (shard->swap_in_flight()) {
-      return refuse(OpRefusal::kSwapInFlight,
-                    "previous swap still in flight");
-    }
-  }
-  // Mutually exclusive with checkpoints, in both orders (the reverse one
-  // is enforced in RequestCheckpoint): a swap command staged while the
-  // checkpoint marker is still in the queues would let the marker land
-  // mid-dual-run, making the cut ambiguous.
-  if (checkpoint_job_) {
-    if (CheckpointInFlight()) {
-      return refuse(OpRefusal::kCheckpointInFlight,
-                    "checkpoint still in flight: its marker has not "
-                    "reached every shard yet");
-    }
-    FinalizeCheckpoint();  // all shards done — seal it, then swap freely
-  }
-  if (!started_.load(std::memory_order_acquire)) Start();
-
-  // Boundary: the close of the last window whose start covers the ingest
-  // high-mark — the MAX over all producers' high marks, since with
-  // several partitions each has routed events up to its own. Every event
-  // routed so far has time <= that high-mark, and the first window
-  // closing after B starts at B + slide - length > high-mark — so no
-  // event of a new-plan window has been routed yet, and the overlap tee
-  // (shard.cc) sees all of them.
-  SwapCommand cmd;
-  cmd.id = ++swaps_requested_;
-  cmd.boundary =
-      window_.WindowEnd(window_.LastWindowCovering(IngestHighMark()));
-  cmd.plan = std::move(plan);
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    if (!shards_[i]->PushSwapCommand(cmd)) {
-      // Un-arm the shards already staged: their markers were not
-      // broadcast yet, so cancelling producer-side is safe and leaves no
-      // shard stuck with swap_in_flight set.
-      for (size_t j = 0; j < i; ++j) shards_[j]->CancelSwapCommand();
-      --swaps_requested_;
-      return refuse(OpRefusal::kShardRefused, "shard refused swap command");
-    }
-  }
-  // In-band markers, ordered after everything ingested so far — same
-  // broadcast discipline as watermarks, through EVERY partition's
-  // channels. Each shard quiesces only once the marker of every channel
-  // arrived (Shard::OnControlMarker), so the cut is ordered after
-  // everything every producer routed. The caller must have externally
-  // synchronized with all producer threads (see the header contract).
-  BroadcastControlMarker(SwapMarkerEvent());
-  // The accepted plan is the incumbent from here on. A checkpoint is only
-  // allowed once no swap is in flight — i.e. once every shard runs THIS
-  // plan — so the handle recorded for the checkpoint fingerprint must
-  // follow the swap, not stay at the constructor plan.
-  compiled_ = cmd.plan;
-  req.accepted = true;
-  req.id = cmd.id;
-  req.boundary = cmd.boundary;
-  if (telemetry_) {
-    obs::ControlCells& cc = telemetry_->control_cells();
-    if (cc.swap_requests) cc.swap_requests->Inc();
-    if (obs::TraceRing* ring = telemetry_->control_ring()) {
-      ring->Emit(obs::TraceKind::kSwapRequested, kNoWatermark,
-                 static_cast<int64_t>(cmd.id));
-      ring->Emit(obs::TraceKind::kSwapBoundary, cmd.boundary,
-                 static_cast<int64_t>(cmd.id));
-    }
-  }
-  return req;
-}
-
 void ShardedRuntime::Flush() {
   for (auto& partition : partitions_) partition->Flush();
 }
@@ -392,7 +283,119 @@ Timestamp ShardedRuntime::IngestHighMark() const {
   return high_mark;
 }
 
-void ShardedRuntime::BroadcastControlMarker(const Event& marker) {
+Timestamp ShardedRuntime::ControlBoundary() const {
+  // Every event routed so far has time <= the high-mark (the MAX over all
+  // producers, since each partition has routed events up to its own), and
+  // the first window closing after B starts at B + slide - length >
+  // high-mark — so no event of a post-B window has been routed yet: a
+  // swap's overlap tee (shard.cc) sees all of them.
+  const Timestamp high_mark = IngestHighMark();
+  return workload_ && window_.Valid()
+             ? window_.WindowEnd(window_.LastWindowCovering(high_mark))
+             : high_mark;
+}
+
+namespace {
+
+// Per-kind telemetry of a control request: its accepted/refused counters
+// and trace kinds. A swap traces its boundary as a separate event; a
+// checkpoint's request event carries it.
+struct ControlTelemetry {
+  const char* name;
+  obs::CounterCell* obs::ControlCells::*requests;
+  obs::CounterCell* obs::ControlCells::*rejected;
+  obs::TraceKind requested_kind;
+  obs::TraceKind rejected_kind;
+  bool boundary_event;
+};
+
+const ControlTelemetry& TelemetryOf(ControlKind kind) {
+  static constexpr ControlTelemetry kSwap{
+      "swap", &obs::ControlCells::swap_requests,
+      &obs::ControlCells::swaps_rejected, obs::TraceKind::kSwapRequested,
+      obs::TraceKind::kSwapRejected, true};
+  static constexpr ControlTelemetry kCheckpoint{
+      "checkpoint", &obs::ControlCells::checkpoint_requests,
+      &obs::ControlCells::checkpoints_rejected,
+      obs::TraceKind::kCheckpointRequested,
+      obs::TraceKind::kCheckpointRejected, false};
+  return kind == ControlKind::kSwap ? kSwap : kCheckpoint;
+}
+
+}  // namespace
+
+template <typename Request, typename Checks>
+Request ShardedRuntime::SubmitControl(ControlCommand& cmd, Checks checks) {
+  const ControlTelemetry& tel = TelemetryOf(cmd.kind);
+  obs::TraceRing* ring = telemetry_ ? telemetry_->control_ring() : nullptr;
+  Request req;
+  auto refuse = [&](OpRefusal code, std::string why) {
+    req.code = code;
+    req.reason = std::move(why);
+    // Every refusal is visible to operators: PlanManager counts only its
+    // own rejections, so without this the runtime-side refusals (direct
+    // callers, races with in-flight ops) would be silent.
+    if (telemetry_) {
+      obs::CounterCell* cell = telemetry_->control_cells().*tel.rejected;
+      if (cell) cell->Inc();
+    }
+    if (ring) {
+      ring->Emit(tel.rejected_kind, kNoWatermark, static_cast<int64_t>(code));
+    }
+    return req;
+  };
+  if (!ok() || finished_) {
+    return refuse(OpRefusal::kNotRunning, "runtime not running");
+  }
+  if (ControlCheck own = checks(); own.code != OpRefusal::kNone) {
+    return refuse(own.code, std::move(own.reason));
+  }
+  // One control op at a time (regression-tested in both orders,
+  // tests/checkpoint_test.cc): a checkpoint cut during a swap's dual run
+  // would have to serialize two engines plus the tee position, and a swap
+  // staged behind a checkpoint marker would let the marker land mid-dual-
+  // run. Swaps are in flight until every shard retired its old engine;
+  // a checkpoint until every shard wrote its file, and is sealed by the
+  // next request that finds it done.
+  for (const auto& shard : shards_) {
+    if (shard->swap_in_flight()) {
+      return refuse(OpRefusal::kSwapInFlight,
+                    "plan swap still in flight: retry once it retired");
+    }
+  }
+  if (checkpoint_job_) {
+    if (CheckpointInFlight()) {
+      return refuse(OpRefusal::kCheckpointInFlight,
+                    "checkpoint still in flight: its marker has not "
+                    "reached every shard yet");
+    }
+    FinalizeCheckpoint();
+  }
+  if (!started_.load(std::memory_order_acquire)) Start();
+
+  uint64_t& requested = cmd.kind == ControlKind::kSwap
+                            ? swaps_requested_
+                            : checkpoints_requested_;
+  cmd.id = requested + 1;
+  cmd.boundary = ControlBoundary();
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    if (!shards_[i]->PushControl(cmd)) {
+      // Un-arm the shards already staged: their markers were not
+      // broadcast yet, so cancelling producer-side is safe and leaves no
+      // shard stuck with a control op in flight.
+      for (size_t j = 0; j < i; ++j) shards_[j]->CancelControl();
+      return refuse(OpRefusal::kShardRefused,
+                    std::string("shard refused ") + tel.name + " command");
+    }
+  }
+  requested = cmd.id;
+  // In-band markers, ordered after everything ingested so far — same
+  // broadcast discipline as watermarks, one per (partition, shard)
+  // channel. Each shard quiesces only once the marker of every channel
+  // arrived (Shard::OnControlMarker), so the cut is ordered after
+  // everything every producer routed. The caller must have externally
+  // synchronized with all producer threads (see the header contract).
+  const Event marker = ControlMarkerEvent();
   for (auto& partition : partitions_) {
     for (size_t i = 0; i < shards_.size(); ++i) {
       EventBatch& batch = partition->PendingFor(i);
@@ -400,6 +403,56 @@ void ShardedRuntime::BroadcastControlMarker(const Event& marker) {
       if (batch.size() >= options_.batch_size) partition->PushBatch(i);
     }
   }
+  req.accepted = true;
+  req.id = cmd.id;
+  req.boundary = cmd.boundary;
+  if (telemetry_) {
+    obs::CounterCell* cell = telemetry_->control_cells().*tel.requests;
+    if (cell) cell->Inc();
+  }
+  if (ring) {
+    const auto id = static_cast<int64_t>(cmd.id);
+    ring->Emit(tel.requested_kind,
+               tel.boundary_event ? kNoWatermark : cmd.boundary, id);
+    if (tel.boundary_event) {
+      ring->Emit(obs::TraceKind::kSwapBoundary, cmd.boundary, id);
+    }
+  }
+  return req;
+}
+
+ShardedRuntime::SwapRequest ShardedRuntime::RequestPlanSwap(
+    CompiledPlanHandle plan) {
+  ControlCommand cmd;
+  cmd.kind = ControlKind::kSwap;
+  cmd.plan = std::move(plan);
+  const SwapRequest req =
+      SubmitControl<SwapRequest>(cmd, [&]() -> ControlCheck {
+        if (!workload_) {
+          return {OpRefusal::kNotUniform,
+                  "plan swap requires the uniform-workload runtime "
+                  "(MultiEngine shards re-plan per segment; rebuild the "
+                  "runtime instead)"};
+        }
+        if (!options_.disorder.enabled) {
+          return {OpRefusal::kNoDisorderPolicy,
+                  "plan swap requires a disorder policy: watermarks are what "
+                  "drain and retire the old engines"};
+        }
+        if (!cmd.plan) return {OpRefusal::kBadPlan, "null compiled plan"};
+        if (cmd.plan->partition != partition_ ||
+            !(cmd.plan->window == window_)) {
+          return {OpRefusal::kBadPlan,
+                  "new plan was compiled for a different workload"};
+        }
+        return {};
+      });
+  // The accepted plan is the incumbent from here on. A checkpoint is only
+  // allowed once no swap is in flight — i.e. once every shard runs THIS
+  // plan — so the handle recorded for the checkpoint fingerprint must
+  // follow the swap, not stay at the constructor plan.
+  if (req.accepted) compiled_ = cmd.plan;
+  return req;
 }
 
 // --- checkpoint/restore ------------------------------------------------------
@@ -414,100 +467,35 @@ bool ShardedRuntime::CheckpointInFlight() const {
 
 ShardedRuntime::CheckpointRequest ShardedRuntime::RequestCheckpoint(
     const std::string& dir) {
-  CheckpointRequest req;
-  auto refuse = [&](OpRefusal code, const std::string& why) {
-    req.code = code;
-    req.reason = why;
-    // Same operator-visibility discipline as RequestPlanSwap's refusals.
-    if (telemetry_) {
-      obs::ControlCells& cc = telemetry_->control_cells();
-      if (cc.checkpoints_rejected) cc.checkpoints_rejected->Inc();
-      if (obs::TraceRing* ring = telemetry_->control_ring()) {
-        ring->Emit(obs::TraceKind::kCheckpointRejected, kNoWatermark,
-                   static_cast<int64_t>(code));
-      }
-    }
-    return req;
-  };
-  if (!ok() || finished_) {
-    return refuse(OpRefusal::kNotRunning, "runtime not running");
-  }
-  if (!options_.disorder.enabled) {
-    return refuse(
-        OpRefusal::kNoDisorderPolicy,
-        "checkpoint requires a disorder policy: the consistent cut is "
-        "defined by watermark frontiers (src/checkpoint/checkpoint.h)");
-  }
-  if (checkpoint_job_) {
-    if (CheckpointInFlight()) {
-      return refuse(OpRefusal::kCheckpointInFlight,
-                    "previous checkpoint still in flight");
-    }
-    FinalizeCheckpoint();
-  }
-  // Mutually exclusive with plan swaps (regression-tested in both orders,
-  // tests/checkpoint_test.cc): a cut during the dual-run would have to
-  // serialize two engines plus the tee position — refuse instead, the
-  // caller retries once the swap retired.
-  for (const auto& shard : shards_) {
-    if (shard->swap_in_flight()) {
-      return refuse(OpRefusal::kSwapInFlight,
-                    "plan swap in flight: checkpoint after it retires");
-    }
-  }
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
-  if (ec) {
-    return refuse(OpRefusal::kIoError,
-                  "cannot create checkpoint directory " + dir + ": " +
-                      ec.message());
-  }
-  if (!started_.load(std::memory_order_acquire)) Start();
-
-  const Timestamp high_mark = IngestHighMark();
-  CheckpointCommand cmd;
-  cmd.id = ++checkpoints_requested_;
-  // The watermark-aligned boundary of the cut: the close of the last
-  // window whose start covers the ingest high-mark — max over producers,
-  // as in RequestPlanSwap (the grid point a plan swap would pick).
-  // MultiEngine workloads have several grids; record the high-mark
-  // itself.
-  cmd.boundary = workload_ && window_.Valid()
-                     ? window_.WindowEnd(window_.LastWindowCovering(high_mark))
-                     : high_mark;
+  ControlCommand cmd;
+  cmd.kind = ControlKind::kCheckpoint;
   cmd.num_shards = shards_.size();
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    cmd.path = dir + "/" + checkpoint::ShardFileName(i);
-    if (!shards_[i]->PushCheckpointCommand(cmd)) {
-      for (size_t j = 0; j < i; ++j) shards_[j]->CancelCheckpointCommand();
-      --checkpoints_requested_;
-      return refuse(OpRefusal::kShardRefused,
-                    "shard refused checkpoint command");
-    }
-  }
-  // In-band markers, ordered after everything ingested so far — the same
-  // broadcast discipline as watermarks and swap markers, through every
-  // partition's channels (see RequestPlanSwap).
-  BroadcastControlMarker(CheckpointMarkerEvent());
+  cmd.dir = dir;
+  const CheckpointRequest req =
+      SubmitControl<CheckpointRequest>(cmd, [&]() -> ControlCheck {
+        if (!options_.disorder.enabled) {
+          return {OpRefusal::kNoDisorderPolicy,
+                  "checkpoint requires a disorder policy: the consistent cut "
+                  "is defined by watermark frontiers "
+                  "(src/checkpoint/checkpoint.h)"};
+        }
+        std::error_code ec;
+        std::filesystem::create_directories(dir, ec);
+        if (ec) {
+          return {OpRefusal::kIoError, "cannot create checkpoint directory " +
+                                           dir + ": " + ec.message()};
+        }
+        return {};
+      });
+  if (!req.accepted) return req;
   checkpoint_job_.emplace();
   checkpoint_job_->id = cmd.id;
   checkpoint_job_->boundary = cmd.boundary;
   checkpoint_job_->dir = dir;
   checkpoint_job_->watch.Reset();
-  checkpoint_job_->high_mark_at_cut = high_mark;
+  checkpoint_job_->high_mark_at_cut = IngestHighMark();
   for (const auto& partition : partitions_) {
     checkpoint_job_->events_at_cut += partition->stats().events;
-  }
-  req.accepted = true;
-  req.id = cmd.id;
-  req.boundary = cmd.boundary;
-  if (telemetry_) {
-    obs::ControlCells& cc = telemetry_->control_cells();
-    if (cc.checkpoint_requests) cc.checkpoint_requests->Inc();
-    if (obs::TraceRing* ring = telemetry_->control_ring()) {
-      ring->Emit(obs::TraceKind::kCheckpointRequested, cmd.boundary,
-                 static_cast<int64_t>(cmd.id));
-    }
   }
   return req;
 }

@@ -199,15 +199,15 @@ class ShardedRuntime {
   /// partition may have a concurrent Ingest in progress (a single thread
   /// driving all partitions satisfies this trivially).
   ///
-  /// Refused (accepted=false) when: the runtime is not uniform-Engine
-  /// mode, no disorder policy is enabled (swaps need watermarks to drain
-  /// the old engines), a previous swap is still in flight on some shard,
-  /// or the runtime already finished. Every refusal emits a
-  /// kSwapRejected trace event and bumps sharon_swaps_rejected_total.
+  /// Refused (accepted=false) with a typed code — see the table next to
+  /// OpRefusal (src/runtime/plan_swap.h) for which codes a swap returns.
+  /// Every refusal emits a kSwapRejected trace event and bumps
+  /// sharon_swaps_rejected_total.
   SwapRequest RequestPlanSwap(CompiledPlanHandle plan);
 
-  /// Plan swaps completed so far (valid after Finish(); see also
-  /// stats().plan_swaps).
+  /// Accepted plan-swap requests so far — the id of the last accepted
+  /// swap, restored from the manifest after Restore (PlanManager reads it
+  /// as the incumbent plan id). Completed swaps are stats().plan_swaps.
   uint64_t swaps_requested() const { return swaps_requested_; }
 
   // --- checkpoint/restore (src/checkpoint/; docs/OPERATIONS.md) ---------
@@ -235,22 +235,20 @@ class ShardedRuntime {
 
   /// Snapshots the COMPLETE executor state of every shard into `dir`
   /// (created if missing) and blocks until the manifest is written:
-  /// stages a command per shard, broadcasts an in-band checkpoint marker
-  /// ordered after everything ingested so far (through every partition's
-  /// channels, each shard quiescing once all channels' markers arrived),
-  /// flushes every partition, and waits for each worker to quiesce at the
-  /// marker and write its shard file. With several partitions the caller
-  /// must be externally synchronized with all producer threads, exactly
-  /// as for RequestPlanSwap (the stall is the slowest shard's
-  /// serialization time — see RuntimeStats.checkpoints).
+  /// stages a checkpoint command in every shard's control slot, broadcasts
+  /// the in-band control marker ordered after everything ingested so far
+  /// (through every partition's channels, each shard quiescing once all
+  /// channels' markers arrived), flushes every partition, and waits for
+  /// each worker to quiesce at the marker and write its shard file. With
+  /// several partitions the caller must be externally synchronized with
+  /// all producer threads, exactly as for RequestPlanSwap (the stall is the
+  /// slowest shard's serialization time — see RuntimeStats.checkpoints).
   ///
-  /// Refused with a typed code when: the runtime failed/finished
-  /// (kNotRunning), no disorder policy (kNoDisorderPolicy — the
-  /// consistent cut is defined by watermark frontiers), or a plan swap is
-  /// in flight (kSwapInFlight — regression-tested together with the
-  /// reverse order in tests/checkpoint_test.cc). Every refusal emits a
-  /// kCheckpointRejected trace event and bumps
-  /// sharon_checkpoints_rejected_total.
+  /// Refused with a typed code — see the table next to OpRefusal
+  /// (src/runtime/plan_swap.h) for which codes a checkpoint returns; the
+  /// swap/checkpoint exclusion is regression-tested in both orders in
+  /// tests/checkpoint_test.cc. Every refusal emits a kCheckpointRejected
+  /// trace event and bumps sharon_checkpoints_rejected_total.
   CheckpointResult Checkpoint(const std::string& dir);
 
   /// Asynchronous half of Checkpoint: stages commands and broadcasts the
@@ -403,10 +401,23 @@ class ShardedRuntime {
   /// Max data-event time routed across ALL partitions — the high-mark
   /// control-op boundaries are computed from.
   Timestamp IngestHighMark() const;
-  /// Appends `marker` to every (partition, shard) pending batch, pushing
-  /// batches that filled up — one marker per channel, the alignment set
-  /// Shard::OnControlMarker waits for. Producer threads must be quiescent.
-  void BroadcastControlMarker(const Event& marker);
+  /// Boundary of a control op requested now: the close of the last window
+  /// covering the ingest high-mark (the high-mark itself for MultiEngine
+  /// workloads, which have several window grids).
+  Timestamp ControlBoundary() const;
+  /// Refusal of a control op's own checks (code kNone = passed).
+  struct ControlCheck {
+    OpRefusal code = OpRefusal::kNone;
+    std::string reason;
+  };
+  /// The one path every control op takes: the not-running check, the
+  /// op's own `checks`, in-flight admission (one op at a time; sealing a
+  /// finished checkpoint), Start, id and boundary stamping into `cmd`,
+  /// staging on every shard with unwind on refusal, the marker broadcast,
+  /// and the accepted/refused telemetry. Returns the request outcome
+  /// (SwapRequest or CheckpointRequest).
+  template <typename Request, typename Checks>
+  Request SubmitControl(ControlCommand& cmd, Checks checks);
 
   std::string error_;
   RuntimeOptions options_;
