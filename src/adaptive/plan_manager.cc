@@ -198,6 +198,15 @@ void PlanManager::NoteChurn(obs::TraceKind kind, QueryId id) {
 
 void PlanManager::TryChurnSwap() {
   if (!registry_ || !inc_ || registry_->pending().empty()) return;
+  if (runtime_->SwapInFlight()) {
+    // RequestPlanSwap could only refuse kSwapInFlight: skip the compile
+    // and the refusal; the ops stay pending for a later punctuation.
+    ++stats_.churn_swap_retries;
+    last_churn_swap_ = {};
+    last_churn_swap_.code = runtime::OpRefusal::kSwapInFlight;
+    last_churn_swap_.reason = "plan swap still in flight: retry once it retired";
+    return;
+  }
   std::string error;
   CompiledPlanHandle compiled =
       CompilePlanShared(*workload_, inc_->plan(), &error);

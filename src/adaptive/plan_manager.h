@@ -89,7 +89,8 @@ struct PlanManagerStats {
   double planning_millis = 0;      ///< total time spent in Reoptimize
 };
 
-/// Drives adaptive re-optimization of a uniform-workload ShardedRuntime.
+/// Drives adaptive re-optimization of a uniform-workload (one-segment)
+/// ShardedRuntime.
 /// Construct with the runtime's workload and the plan the runtime started
 /// with, then feed the stream through Ingest(). The runtime must have a
 /// disorder policy enabled (plan swaps retire old engines via watermarks)
@@ -186,7 +187,8 @@ class PlanManager {
 
   /// Compiles the incremental plan and requests the swap that commits
   /// every pending churn op. Refusals leave the ops pending; the caller
-  /// retries on watermark punctuations.
+  /// retries on watermark punctuations. While a swap is in flight it
+  /// returns before compiling (the request could only be refused).
   void TryChurnSwap();
 
   /// Trace + metrics emission of one accepted churn call.

@@ -32,6 +32,13 @@
 // (src/common/serde.h), so a checkpoint written on one machine restores
 // on another.
 //
+// Every shard runs one MultiEngine (a uniform workload is its one-segment
+// plan), so a shard file holds one frame group per plan segment, and one
+// fingerprint — each segment's CURRENT compiled plan plus the routing —
+// pins what the executor ran. Each shard computes it at its cut; the
+// manifest records it once all shards agree, and restore compares it and
+// the segment count with the rebuilt runtime's.
+//
 // Restore may target a DIFFERENT shard count: all executor state except
 // the shared scalars is keyed by the partition-attribute group, so the
 // router re-partitions serialized group records, result cells and
@@ -60,7 +67,7 @@ inline constexpr uint32_t kMagic = 0x4b434853;
 
 /// Format version; bumped on any frame-schema change. Restore refuses a
 /// mismatched version outright (no cross-version migration).
-inline constexpr uint32_t kFormatVersion = 2;
+inline constexpr uint32_t kFormatVersion = 3;
 
 /// Name of the coordinator-written manifest inside a checkpoint
 /// directory. Written LAST: its presence marks the checkpoint complete.
@@ -117,9 +124,8 @@ struct Manifest {
   /// marker position; the boundary names the first window whose
   /// finalization the restored incarnation can still influence.
   Timestamp boundary = 0;
-  uint8_t mode = 0;  ///< 1 = uniform Engine shards, 2 = MultiEngine shards
   uint64_t num_shards = 0;
-  uint64_t num_segments = 1;  ///< engines per shard (1 unless MultiEngine)
+  uint64_t num_segments = 1;  ///< plan segments (engines per shard)
   AttrIndex partition = kNoAttr;
   uint64_t plan_fingerprint = 0;
   DisorderPolicy disorder;
@@ -137,15 +143,13 @@ std::string SaveManifest(const Manifest& m, const std::string& path);
 /// and version mismatches with a diagnostic.
 std::string LoadManifest(const std::string& path, Manifest* out);
 
-/// Structural fingerprint of a compiled uniform plan: window, partition,
-/// counter templates (pattern, projected spec, shared flag) and chain
-/// wiring. Two plans with equal fingerprints instantiate identical
+/// Structural fingerprint of what `executor` runs: per segment, the
+/// CURRENT engine's compiled plan (window, partition, counter templates —
+/// pattern, projected spec, shared flag — and chain wiring), plus the
+/// original-id routing when there are several segments (one segment
+/// routes by identity). Equal fingerprints instantiate identical
 /// per-group state layouts.
-uint64_t PlanFingerprint(const CompiledEngine& compiled);
-
-/// Fingerprint of a multi-engine plan: per-segment compiled fingerprints
-/// plus the original-id routing.
-uint64_t PlanFingerprint(const MultiEnginePlan& plan);
+uint64_t PlanFingerprint(const MultiEngine& executor);
 
 /// One serialized result cell. `store` distinguishes staged (0) from
 /// finalized (1) cells; archive cells ignore it.
@@ -157,16 +161,15 @@ struct CellRecord {
   AggState state;
 };
 
-/// What one shard worker hands the encoder at the marker cut. Exactly one
-/// of engine/multi is non-null; archive/retired may be null (empty).
+/// What one shard worker hands the encoder at the marker cut. `executor`
+/// must not be null; archive/retired may be null (empty).
 struct ShardCheckpointInput {
   uint64_t checkpoint_id = 0;
   Timestamp boundary = 0;
   size_t shard_index = 0;
   size_t num_shards = 0;
   Timestamp merged_watermark = kNoWatermark;
-  const Engine* engine = nullptr;
-  const MultiEngine* multi = nullptr;
+  const MultiEngine* executor = nullptr;
   const ResultCollector* archive = nullptr;
   const WatermarkStats* retired = nullptr;
 };
@@ -182,7 +185,6 @@ struct ShardCheckpointData {
   Timestamp boundary = 0;
   uint64_t shard_index = 0;
   uint64_t num_shards = 0;
-  uint8_t mode = 0;
   Timestamp merged_watermark = kNoWatermark;
 
   struct SegmentState {

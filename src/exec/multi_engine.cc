@@ -30,6 +30,7 @@ std::shared_ptr<const MultiEnginePlan> PlanMultiEngine(
     MultiEnginePlan::Segment& seg = plan->segments[it->second];
     Query local = q;  // re-keyed by Workload::Add
     QueryId local_id = seg.workload.Add(std::move(local));
+    seg.workload.SetActive(local_id, workload.active(q.id));
     seg.original_ids.push_back(q.id);
     plan->routes[q.id] = {it->second, local_id};
   }
@@ -43,6 +44,17 @@ std::shared_ptr<const MultiEnginePlan> PlanMultiEngine(
     plan->plans.push_back(std::move(opt));
   }
   return plan;
+}
+
+std::shared_ptr<const MultiEnginePlan> PlanUniformEngine(
+    const Workload& workload, const SharingPlan& plan) {
+  auto out = std::make_shared<MultiEnginePlan>();
+  out->total_queries = workload.size();
+  MultiEnginePlan::Segment& seg = out->segments.emplace_back();
+  // A copy, not a re-Add: Add would re-activate retired queries.
+  seg.workload = workload;
+  seg.compiled = CompilePlanShared(workload, plan, &out->error);
+  return out;
 }
 
 MultiEngine::MultiEngine(const Workload& workload, const CostModel& cost_model,
@@ -70,10 +82,6 @@ MultiEngine::MultiEngine(std::shared_ptr<const MultiEnginePlan> plan)
   }
 }
 
-void MultiEngine::OnEvent(const Event& e) {
-  for (auto& engine : engines_) engine->OnEvent(e);
-}
-
 void MultiEngine::SetDisorderPolicy(const DisorderPolicy& policy) {
   for (auto& engine : engines_) engine->SetDisorderPolicy(policy);
 }
@@ -87,8 +95,7 @@ void MultiEngine::CloseStream() {
 }
 
 bool MultiEngine::Finalized(QueryId query, WindowId window) const {
-  const MultiEnginePlan::Route& r = plan_->routes.at(query);
-  return engines_[r.segment]->Finalized(window);
+  return engines_[plan_->RouteOf(query).segment]->Finalized(window);
 }
 
 WatermarkStats MultiEngine::watermark_stats() const {
@@ -115,6 +122,7 @@ WatermarkStats MultiEngine::watermark_stats() const {
     out.evicted_groups += ws.evicted_groups;
     out.finalized_windows += ws.finalized_windows;
     out.finalized_cells += ws.finalized_cells;
+    out.suppressed_cells += ws.suppressed_cells;
     out.state_sweeps += ws.state_sweeps;
   }
   return out;
@@ -147,8 +155,26 @@ double MultiEngine::Value(QueryId query, WindowId window, AttrValue group,
 
 AggState MultiEngine::Get(QueryId query, WindowId window,
                           AttrValue group) const {
-  const MultiEnginePlan::Route& r = plan_->routes.at(query);
+  const MultiEnginePlan::Route r = plan_->RouteOf(query);
   return engines_[r.segment]->results().Get(r.local, window, group);
+}
+
+void MultiEngine::ForEachCell(
+    const std::function<void(const ResultKey&, const AggState&)>& fn) const {
+  for (size_t s = 0; s < engines_.size(); ++s) {
+    engines_[s]->results().ForEachCell(
+        [&](const ResultKey& key, const AggState& state) {
+          ResultKey remapped = key;
+          remapped.query = plan_->OriginalOf(s, key.query);
+          fn(remapped, state);
+        });
+  }
+}
+
+size_t MultiEngine::NumCells() const {
+  size_t n = 0;
+  for (const auto& engine : engines_) n += engine->results().size();
+  return n;
 }
 
 size_t MultiEngine::num_shared_counters() const {

@@ -12,11 +12,20 @@
 // PlanMultiEngine produces an immutable MultiEnginePlan that any number of
 // MultiEngine instances share — the per-shard engines of
 // runtime::ShardedRuntime all reuse one planning pass.
+//
+// A uniform workload is the one-segment case (PlanUniformEngine), so the
+// runtime has one executor shape. With one segment, routing is the
+// identity: segment-local ids equal original ids by construction, because
+// Workload::Add assigns dense ids in order and the segment keeps every
+// query of the workload. Identity routing also covers ids that live query
+// churn registers after planning, which sit beyond `routes`.
 
 #ifndef SHARON_EXEC_MULTI_ENGINE_H_
 #define SHARON_EXEC_MULTI_ENGINE_H_
 
+#include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "src/exec/engine.h"
@@ -24,16 +33,16 @@
 
 namespace sharon {
 
-/// Immutable outcome of planning a non-uniform workload: the uniform
-/// segment workloads, their compiled sharing plans, and the routing table
-/// from original query ids to (segment, segment-local id). Owns the
-/// segment workloads, so engines built from it must not outlive it — hold
-/// it in a shared_ptr when instances share it.
+/// Immutable outcome of planning a workload: the uniform segment
+/// workloads, their compiled sharing plans, and the routing table from
+/// original query ids to (segment, segment-local id). Owns the segment
+/// workloads, so engines built from it must not outlive it — hold it in a
+/// shared_ptr when instances share it.
 struct MultiEnginePlan {
   struct Segment {
     Workload workload;                  ///< segment-local query ids
     std::vector<QueryId> original_ids;  ///< segment-local id -> original id
-    CompiledPlanHandle compiled;
+    CompiledPlanHandle compiled;        ///< as planned (swaps replace engines)
   };
 
   /// Segment index and segment-local id for one original query.
@@ -45,20 +54,40 @@ struct MultiEnginePlan {
   std::string error;  ///< empty on success
   std::vector<Segment> segments;
   std::vector<Route> routes;            ///< indexed by original query id
-  std::vector<OptimizerResult> plans;   ///< per-segment optimizer outcomes
+  /// Per-segment optimizer outcomes (empty when no optimizer ran).
+  std::vector<OptimizerResult> plans;
   size_t total_queries = 0;
 
   bool ok() const { return error.empty(); }
+
+  /// Segment and segment-local id of original query `query` (identity
+  /// with one segment, see the file comment).
+  Route RouteOf(QueryId query) const {
+    return segments.size() == 1 ? Route{0, query} : routes.at(query);
+  }
+  /// Original id of segment-local query `local` of segment `segment`.
+  QueryId OriginalOf(size_t segment, QueryId local) const {
+    return segments.size() == 1 ? local
+                                : segments[segment].original_ids.at(local);
+  }
 };
 
 /// Partitions `workload` into uniform segments by (window, partition
 /// attribute) and optimizes each with `cost_model` (Sharon optimizer,
-/// `config`). Never returns null; check `->ok()`.
+/// `config`). Each query keeps its active flag in its segment. Never
+/// returns null; check `->ok()`.
 std::shared_ptr<const MultiEnginePlan> PlanMultiEngine(
     const Workload& workload, const CostModel& cost_model,
     const OptimizerConfig& config = {});
 
-/// Executes a non-uniform workload as independent uniform segments.
+/// One-segment plan of a uniform workload with an explicit sharing plan
+/// (empty = A-Seq): the segment is a copy of `workload` (active mask
+/// included) compiled with `plan`. Never returns null; check `->ok()`.
+std::shared_ptr<const MultiEnginePlan> PlanUniformEngine(
+    const Workload& workload, const SharingPlan& plan = {});
+
+/// Executes a workload as independent uniform segments (one segment for a
+/// uniform workload).
 class MultiEngine {
  public:
   /// Plans and instantiates in one step (single-instance convenience).
@@ -78,7 +107,9 @@ class MultiEngine {
   /// Total number of shared counters across segments.
   size_t num_shared_counters() const;
 
-  void OnEvent(const Event& e);
+  void OnEvent(const Event& e) {
+    for (auto& engine : engines_) engine->OnEvent(e);
+  }
   RunStats Run(const std::vector<Event>& events, Duration duration);
 
   // --- bounded-disorder ingestion (src/common/watermark.h) --------------
@@ -118,6 +149,13 @@ class MultiEngine {
                AggFunction fn) const;
   AggState Get(QueryId query, WindowId window, AttrValue group) const;
 
+  /// Visits every result cell, with cell keys in ORIGINAL query ids.
+  void ForEachCell(
+      const std::function<void(const ResultKey&, const AggState&)>& fn) const;
+
+  /// Result cells across segment engines.
+  size_t NumCells() const;
+
   /// Per-segment optimizer outcomes (for inspection).
   const std::vector<OptimizerResult>& plans() const { return plan_->plans; }
 
@@ -129,11 +167,19 @@ class MultiEngine {
     return engines_;
   }
 
-  /// Mutable segment engine for checkpoint restore ONLY (src/checkpoint/
-  /// loads per-segment state before the first post-restore event); all
-  /// normal execution goes through OnEvent.
+  /// Mutable segment engine for checkpoint restore (src/checkpoint/ loads
+  /// per-segment state before the first post-restore event) and for a
+  /// shard's swap dual run, which feeds the incumbent engine directly;
+  /// all other execution goes through OnEvent.
   Engine* mutable_segment_engine(size_t segment) {
     return engines_[segment].get();
+  }
+
+  /// Installs `engine` as segment `segment`'s engine and returns the one
+  /// it replaces (swap retirement). `engine` must run the same segment.
+  std::unique_ptr<Engine> ReplaceSegmentEngine(size_t segment,
+                                               std::unique_ptr<Engine> engine) {
+    return std::exchange(engines_[segment], std::move(engine));
   }
 
   size_t EstimatedBytes() const;

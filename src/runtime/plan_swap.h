@@ -100,7 +100,7 @@ inline bool IsControlMarker(const Event& e) {
 enum class OpRefusal : uint8_t {
   kNone = 0,                ///< accepted
   kNotRunning = 1,          ///< runtime failed to construct or already finished
-  kNotUniform = 2,          ///< operation requires uniform-Engine shards
+  kNotUniform = 2,          ///< swap needs a one-segment (uniform) plan
   kNoDisorderPolicy = 3,    ///< operation requires watermarks
   // 4 is retired (a pre-marker-alignment code); never reuse it.
   kBadPlan = 5,             ///< null plan or plan from a different workload

@@ -1,8 +1,14 @@
 // One shard of the sharded runtime: a worker thread that owns a private
-// executor (Engine for uniform workloads, MultiEngine for non-uniform
-// ones) and drains event batches from bounded SPSC channels — one per
+// executor and drains event batches from bounded SPSC channels — one per
 // ingest partition, so any number of producer threads feed the shard
 // without sharing a queue.
+//
+// The executor is always a MultiEngine built from the runtime's one shared
+// MultiEnginePlan; a uniform workload is its one-segment plan
+// (src/exec/multi_engine.h), whose routing is the identity. A plan swap
+// (one segment only) dual-runs segment 0's engine against the incoming
+// one and then installs it in the executor; cells of windows the retired
+// engine finalized move to the shard's archive.
 //
 // Each channel is a PAIR of rings: `full` carries filled batches from
 // the producer, `free` carries the emptied buffers back for reuse, so a
@@ -74,13 +80,8 @@ struct BatchChannel {
 /// producer thread, then SignalDone() + Join() before reading results.
 class Shard {
  public:
-  /// Uniform-workload shard: instantiates an Engine from a shared
-  /// compiled plan (one compile pass for all shards).
-  Shard(size_t index, const Workload& workload, CompiledPlanHandle compiled,
-        const RuntimeOptions& options);
-
-  /// Non-uniform-workload shard: instantiates a MultiEngine from a shared
-  /// multi-engine plan (one optimizer pass for all shards).
+  /// Instantiates the shard's MultiEngine from the shared plan (one
+  /// planning pass for all shards). `plan` must not be null.
   Shard(size_t index, std::shared_ptr<const MultiEnginePlan> plan,
         const RuntimeOptions& options);
 
@@ -106,8 +107,7 @@ class Shard {
     obs_engine_ = eo;
     obs_cells_ = cells;
     obs_ring_ = ring;
-    if (engine_) engine_->SetObservability(eo);
-    if (multi_) multi_->SetObservability(eo);
+    executor_.SetObservability(eo);
   }
 
   /// The channel of ingest partition `p` (stable address; the partition
@@ -123,7 +123,7 @@ class Shard {
   /// Must be followed by a marker broadcast ordered after it. False while
   /// any control op is in flight on this shard (one slot: swaps and
   /// checkpoints exclude each other), or for a swap this shard cannot run
-  /// (MultiEngine mode, no disorder policy, null plan).
+  /// (more than one plan segment, no disorder policy, null plan).
   bool PushControl(const ControlCommand& cmd);
 
   /// Producer side: un-stages the command pushed by PushControl whose
@@ -150,6 +150,8 @@ class Shard {
     std::string error;  ///< empty on success
     size_t bytes = 0;   ///< shard file size
     Timestamp watermark = kNoWatermark;  ///< merged frontier at the cut
+    /// checkpoint::PlanFingerprint of the executor at the cut.
+    uint64_t fingerprint = 0;
   };
   CheckpointOutcome checkpoint_outcome() const;
 
@@ -200,17 +202,14 @@ class Shard {
     return swap_records_;
   }
 
-  /// The underlying executors (exactly one is non-null). engine() is the
-  /// CURRENT engine after any swaps.
-  const Engine* engine() const { return engine_.get(); }
-  const MultiEngine* multi() const { return multi_.get(); }
+  /// The executor; segment engines are the CURRENT ones after any swaps.
+  const MultiEngine& executor() const { return executor_; }
 
   // --- checkpoint restore hooks (pre-Start only) ------------------------
   // Used exclusively by ShardedRuntime::Restore before the worker thread
   // exists, so none of them synchronize.
 
-  Engine* restore_engine() { return engine_.get(); }
-  MultiEngine* restore_multi() { return multi_.get(); }
+  MultiEngine& restore_executor() { return executor_; }
   ResultCollector& restore_archive() { return archived_; }
   void RestoreRetiredCounters(const WatermarkStats& wm) {
     retired_wm_.MergeCountersFrom(wm);
@@ -268,12 +267,10 @@ class Shard {
   size_t markers_seen_ = 0;
   std::vector<EventBatch> held_;
   uint64_t batch_data_events_ = 0;  ///< data events of the batch in Process
-  std::unique_ptr<Engine> engine_;
-  std::unique_ptr<MultiEngine> multi_;
-  /// Set at construction, never changes: lets the producer thread test
-  /// the executor mode without touching engine_ (which the worker
-  /// reassigns at swap retirement).
-  const bool engine_mode_;
+  /// Worker-owned after Start. Its plan (and so the segment count the
+  /// producer thread reads in PushControl) is immutable; a swap
+  /// retirement replaces only segment 0's engine.
+  MultiEngine executor_;
   std::thread thread_;
   std::atomic<bool> done_{false};
   std::atomic<Timestamp> watermark_{kNoWatermark};
@@ -299,6 +296,7 @@ class Shard {
   bool swap_active_ = false;       ///< worker picked the command up
   ControlCommand swap_;            ///< the active swap
   Timestamp tee_from_ = 0;         ///< overlap start B + slide - length
+  /// The incoming engine of the active swap (dual-run against segment 0).
   std::unique_ptr<Engine> next_engine_;
   StopWatch swap_watch_;
   ShardSwapRecord swap_record_;    ///< being accumulated for the active swap

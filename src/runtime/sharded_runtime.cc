@@ -121,13 +121,7 @@ ShardedRuntime::ShardedRuntime(const Workload& workload,
                                const SharingPlan& plan,
                                const RuntimeOptions& options)
     : options_(options) {
-  if (workload.empty()) {
-    error_ = "empty workload";
-    return;
-  }
-  workload_size_ = workload.size();
-  workload_ = &workload;
-  InitShardsUniform(workload, plan);
+  InitShards(PlanUniformEngine(workload, plan));
 }
 
 ShardedRuntime::ShardedRuntime(const Workload& workload,
@@ -138,7 +132,7 @@ ShardedRuntime::ShardedRuntime(const Workload& workload,
   // Validate before PlanMultiEngine: planning runs the optimizer per
   // segment, far too expensive to spend on a workload we then reject.
   if (!ValidateForSharding(workload)) return;
-  InitShardsMulti(workload, PlanMultiEngine(workload, cost_model, config));
+  InitShards(PlanMultiEngine(workload, cost_model, config));
 }
 
 ShardedRuntime::ShardedRuntime(const Workload& workload,
@@ -146,7 +140,7 @@ ShardedRuntime::ShardedRuntime(const Workload& workload,
                                const RuntimeOptions& options)
     : options_(options) {
   if (!ValidateForSharding(workload)) return;
-  InitShardsMulti(workload, std::move(plan));
+  InitShards(std::move(plan));
 }
 
 bool ShardedRuntime::ValidateForSharding(const Workload& workload) {
@@ -154,12 +148,11 @@ bool ShardedRuntime::ValidateForSharding(const Workload& workload) {
     error_ = "empty workload";
     return false;
   }
-  workload_size_ = workload.size();
   // All state of a group must live on the group's shard (DESIGN.md), so
   // every segment has to partition by the same attribute.
-  partition_ = workload.queries().front().partition_attr;
+  const AttrIndex partition = workload.queries().front().partition_attr;
   for (const Query& q : workload.queries()) {
-    if (q.partition_attr != partition_) {
+    if (q.partition_attr != partition) {
       error_ =
           "sharding requires a common grouping attribute across queries; "
           "this workload mixes partition attributes (run segments in "
@@ -190,39 +183,17 @@ bool ShardedRuntime::InitIngest() {
   return true;
 }
 
-void ShardedRuntime::InitShardsUniform(const Workload& workload,
-                                       const SharingPlan& plan) {
-  CompiledPlanHandle compiled = CompilePlanShared(workload, plan, &error_);
-  if (!compiled) return;
-  compiled_ = compiled;
-  partition_ = compiled->partition;
-  window_ = compiled->window;
-  const size_t n = options_.ResolvedShards();
-  shards_.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    shards_.push_back(std::make_unique<Shard>(i, workload, compiled, options_));
-    if (!shards_.back()->ok()) {
-      error_ = shards_.back()->error();
-      return;
-    }
-  }
-  if (!InitIngest()) return;
-  InitTelemetry();
-  merger_ = ResultMerger(&shards_, partition_);
-}
-
-void ShardedRuntime::InitShardsMulti(
-    const Workload& workload, std::shared_ptr<const MultiEnginePlan> plan) {
-  (void)workload;
+void ShardedRuntime::InitShards(std::shared_ptr<const MultiEnginePlan> plan) {
   if (!plan || !plan->ok()) {
     error_ = plan ? plan->error : "null multi-engine plan";
     return;
   }
-  multi_plan_ = plan;
+  plan_ = std::move(plan);
+  partition_ = plan_->segments.front().compiled->partition;
   const size_t n = options_.ResolvedShards();
   shards_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    shards_.push_back(std::make_unique<Shard>(i, plan, options_));
+    shards_.push_back(std::make_unique<Shard>(i, plan_, options_));
     if (!shards_.back()->ok()) {
       error_ = shards_.back()->error();
       return;
@@ -290,9 +261,17 @@ Timestamp ShardedRuntime::ControlBoundary() const {
   // high-mark — so no event of a post-B window has been routed yet: a
   // swap's overlap tee (shard.cc) sees all of them.
   const Timestamp high_mark = IngestHighMark();
-  return workload_ && window_.Valid()
-             ? window_.WindowEnd(window_.LastWindowCovering(high_mark))
-             : high_mark;
+  if (plan_->segments.size() != 1) return high_mark;
+  const WindowSpec& window = plan_->segments.front().compiled->window;
+  return window.Valid() ? window.WindowEnd(window.LastWindowCovering(high_mark))
+                        : high_mark;
+}
+
+bool ShardedRuntime::SwapInFlight() const {
+  for (const auto& shard : shards_) {
+    if (shard->swap_in_flight()) return true;
+  }
+  return false;
 }
 
 namespace {
@@ -357,11 +336,9 @@ Request ShardedRuntime::SubmitControl(ControlCommand& cmd, Checks checks) {
   // run. Swaps are in flight until every shard retired its old engine;
   // a checkpoint until every shard wrote its file, and is sealed by the
   // next request that finds it done.
-  for (const auto& shard : shards_) {
-    if (shard->swap_in_flight()) {
-      return refuse(OpRefusal::kSwapInFlight,
-                    "plan swap still in flight: retry once it retired");
-    }
+  if (SwapInFlight()) {
+    return refuse(OpRefusal::kSwapInFlight,
+                  "plan swap still in flight: retry once it retired");
   }
   if (checkpoint_job_) {
     if (CheckpointInFlight()) {
@@ -428,11 +405,11 @@ ShardedRuntime::SwapRequest ShardedRuntime::RequestPlanSwap(
   cmd.plan = std::move(plan);
   const SwapRequest req =
       SubmitControl<SwapRequest>(cmd, [&]() -> ControlCheck {
-        if (!workload_) {
+        if (plan_->segments.size() != 1) {
           return {OpRefusal::kNotUniform,
-                  "plan swap requires the uniform-workload runtime "
-                  "(MultiEngine shards re-plan per segment; rebuild the "
-                  "runtime instead)"};
+                  "plan swap requires a one-segment (uniform) workload: "
+                  "several segments re-plan per segment; rebuild the "
+                  "runtime instead"};
         }
         if (!options_.disorder.enabled) {
           return {OpRefusal::kNoDisorderPolicy,
@@ -441,17 +418,12 @@ ShardedRuntime::SwapRequest ShardedRuntime::RequestPlanSwap(
         }
         if (!cmd.plan) return {OpRefusal::kBadPlan, "null compiled plan"};
         if (cmd.plan->partition != partition_ ||
-            !(cmd.plan->window == window_)) {
+            !(cmd.plan->window == plan_->segments.front().compiled->window)) {
           return {OpRefusal::kBadPlan,
                   "new plan was compiled for a different workload"};
         }
         return {};
       });
-  // The accepted plan is the incumbent from here on. A checkpoint is only
-  // allowed once no swap is in flight — i.e. once every shard runs THIS
-  // plan — so the handle recorded for the checkpoint fingerprint must
-  // follow the swap, not stay at the constructor plan.
-  if (req.accepted) compiled_ = cmd.plan;
   return req;
 }
 
@@ -507,12 +479,16 @@ ShardedRuntime::CheckpointResult ShardedRuntime::FinalizeCheckpoint() {
   const std::string dir = checkpoint_job_->dir;
   Timestamp merged = kWatermarkMax;
   uint64_t total_bytes = 0;
+  const uint64_t fingerprint = shards_.front()->checkpoint_outcome().fingerprint;
   for (const auto& shard : shards_) {
     const Shard::CheckpointOutcome outcome = shard->checkpoint_outcome();
-    if (!outcome.error.empty()) {
+    std::string error = outcome.error;
+    if (error.empty() && outcome.fingerprint != fingerprint) {
+      error = "plan fingerprint differs from shard 0's at the cut";
+    }
+    if (!error.empty()) {
       res.code = OpRefusal::kIoError;
-      res.reason = "shard " + std::to_string(shard->index()) + ": " +
-                   outcome.error;
+      res.reason = "shard " + std::to_string(shard->index()) + ": " + error;
       checkpoint_job_.reset();
       last_checkpoint_ = res;
       return res;
@@ -525,13 +501,10 @@ ShardedRuntime::CheckpointResult ShardedRuntime::FinalizeCheckpoint() {
   checkpoint::Manifest m;
   m.checkpoint_id = res.id;
   m.boundary = res.boundary;
-  m.mode = workload_ ? 1 : 2;
   m.num_shards = shards_.size();
-  m.num_segments =
-      workload_ ? 1 : shards_.front()->multi()->engines().size();
+  m.num_segments = plan_->segments.size();
   m.partition = partition_;
-  m.plan_fingerprint = workload_ ? checkpoint::PlanFingerprint(*compiled_)
-                                 : checkpoint::PlanFingerprint(*multi_plan_);
+  m.plan_fingerprint = fingerprint;
   m.disorder = options_.disorder;
   m.merged_watermark = merged == kWatermarkMax ? kNoWatermark : merged;
   m.ingest_high_mark = checkpoint_job_->high_mark_at_cut;
@@ -602,43 +575,34 @@ ShardedRuntime::RestoreOutcome ShardedRuntime::Restore(
   // late and when windows seal); restoring under a different one would
   // silently change results.
   ropts.disorder = m.disorder;
-  std::unique_ptr<ShardedRuntime> rt;
-  if (m.mode == 1) {
-    rt.reset(new ShardedRuntime(*opts.workload, opts.plan, ropts));
-  } else if (m.mode == 2) {
-    if (!opts.multi_plan) {
-      out.error =
-          "checkpoint holds MultiEngine shards: RestoreOptions::multi_plan "
-          "is required";
-      return out;
-    }
-    rt.reset(new ShardedRuntime(*opts.workload, opts.multi_plan, ropts));
-  } else {
-    out.error = "unknown executor mode in manifest";
+  if (m.num_segments > 1 && !opts.multi_plan) {
+    out.error = "checkpoint holds " + std::to_string(m.num_segments) +
+                " plan segments: RestoreOptions::multi_plan is required";
     return out;
   }
+  std::unique_ptr<ShardedRuntime> rt(
+      opts.multi_plan
+          ? new ShardedRuntime(*opts.workload, opts.multi_plan, ropts)
+          : new ShardedRuntime(*opts.workload, opts.plan, ropts));
   if (!rt->ok()) {
     out.error = rt->error();
     return out;
   }
-  const uint64_t fingerprint =
-      m.mode == 1 ? checkpoint::PlanFingerprint(*rt->compiled_)
-                  : checkpoint::PlanFingerprint(*rt->multi_plan_);
-  if (fingerprint != m.plan_fingerprint) {
+  const size_t num_segments = rt->plan_->segments.size();
+  if (num_segments != m.num_segments ||
+      checkpoint::PlanFingerprint(rt->shards_.front()->executor()) !=
+          m.plan_fingerprint) {
     out.error =
         "plan fingerprint mismatch: the supplied workload/plan compiles to "
         "different executor templates than the checkpointed ones";
     return out;
   }
-  const size_t num_segments = static_cast<size_t>(m.num_segments);
   const size_t new_shards = rt->shards_.size();
   const bool same_topology = new_shards == m.num_shards;
 
   // The engine of (new shard j, segment s).
   auto engine_of = [&](size_t j, size_t s) -> Engine* {
-    return m.mode == 1
-               ? rt->shards_[j]->restore_engine()
-               : rt->shards_[j]->restore_multi()->mutable_segment_engine(s);
+    return rt->shards_[j]->restore_executor().mutable_segment_engine(s);
   };
 
   // Pass 1: decode every old shard file (integrity-checked frame by
@@ -653,7 +617,6 @@ ShardedRuntime::RestoreOutcome ShardedRuntime::Restore(
     if (err.empty() && (data[i].shard_index != i ||
                         data[i].checkpoint_id != m.checkpoint_id ||
                         data[i].num_shards != m.num_shards ||
-                        data[i].mode != m.mode ||
                         data[i].segments.size() != num_segments)) {
       err = "shard header does not match the manifest";
     }
@@ -793,7 +756,7 @@ RunStats ShardedRuntime::Run(const std::vector<Event>& events,
   Finish();
   stats.wall_seconds = wall_seconds_;
   // Per-query convention of Engine::Run: each event counts once per query.
-  stats.events_processed = events.size() * workload_size_;
+  stats.events_processed = events.size() * plan_->total_queries;
   stats.results_emitted = merger_.NumCells();
   // Engine::Run convention: report the PEAK, not the post-sweep figure.
   size_t peak = 0;

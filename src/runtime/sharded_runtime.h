@@ -4,8 +4,10 @@
 // attribute (§2.1 assumption 2), so groups are independent by
 // construction. The runtime exploits exactly that: incoming events are
 // hash-partitioned by group value across N worker shards, each owning a
-// private Engine (or MultiEngine for non-uniform workloads) instantiated
-// from ONE shared compiled plan. Batches travel through bounded SPSC ring
+// private MultiEngine instantiated from ONE shared MultiEnginePlan: every
+// constructor builds that plan, and a uniform workload is its one-segment
+// case (identity routing, src/exec/multi_engine.h), so there is one
+// executor shape. Batches travel through bounded SPSC ring
 // buffers; a full ring stalls the ingest thread (backpressure) rather
 // than growing memory without bound. Emptied batch buffers ride a free
 // ring back to the producer, so steady-state ingest allocates nothing
@@ -115,21 +117,23 @@ class IngestPartition {
 /// `workload` (and the sharing plan sources) must outlive the runtime.
 class ShardedRuntime {
  public:
-  /// Uniform workload, explicit sharing plan (empty = A-Seq). The plan is
-  /// compiled once and shared by all shards.
+  /// Uniform workload, explicit sharing plan (empty = A-Seq): a
+  /// one-segment plan (PlanUniformEngine), compiled once and shared by all
+  /// shards.
   explicit ShardedRuntime(const Workload& workload,
                           const SharingPlan& plan = {},
                           const RuntimeOptions& options = {});
 
-  /// Non-uniform workload: one PlanMultiEngine pass (optimizer included),
-  /// shared by all shards. Requires every query to agree on the grouping
+  /// Any workload: one PlanMultiEngine pass (optimizer included), shared
+  /// by all shards. Requires every query to agree on the grouping
   /// attribute — windows may differ, the partitioning may not, since a
-  /// shard must own all state of the groups routed to it.
+  /// shard must own all state of the groups routed to it. A uniform
+  /// workload plans to one segment, which accepts plan swaps.
   ShardedRuntime(const Workload& workload, const CostModel& cost_model,
                  const OptimizerConfig& config = {},
                  const RuntimeOptions& options = {});
 
-  /// Non-uniform workload from a pre-computed shared plan.
+  /// Any workload from a pre-computed shared plan.
   ShardedRuntime(const Workload& workload,
                  std::shared_ptr<const MultiEnginePlan> plan,
                  const RuntimeOptions& options = {});
@@ -185,7 +189,9 @@ class ShardedRuntime {
 
   /// Hot-swaps the sharing plan of every shard at a watermark-aligned
   /// boundary (src/runtime/plan_swap.h). `plan` must be compiled from the
-  /// SAME workload this runtime was built with (uniform constructor).
+  /// SAME workload this runtime was built with, and the runtime's plan
+  /// must have one segment (a uniform workload, from any constructor);
+  /// several segments refuse with kNotUniform.
   /// The boundary is the first window close past the ingest high-mark
   /// (max over producers), so every window closing at or before it is
   /// finalized by the current engines and every later window is computed
@@ -204,6 +210,10 @@ class ShardedRuntime {
   /// Every refusal emits a kSwapRejected trace event and bumps
   /// sharon_swaps_rejected_total.
   SwapRequest RequestPlanSwap(CompiledPlanHandle plan);
+
+  /// True while a plan swap has not retired its old engine on every shard
+  /// (any swap request is refused kSwapInFlight meanwhile).
+  bool SwapInFlight() const;
 
   /// Accepted plan-swap requests so far — the id of the last accepted
   /// swap, restored from the manifest after Restore (PlanManager reads it
@@ -274,11 +284,14 @@ class ShardedRuntime {
   /// checkpointed count: group state is re-partitioned by the hash
   /// attribute. The disorder policy is taken from the manifest (it is
   /// part of the checkpoint's semantics), not from `runtime`.
+  /// Restore builds from `multi_plan` when it is set, from `plan`
+  /// (uniform constructor) otherwise; a checkpoint of several segments
+  /// needs `multi_plan`.
   struct RestoreOptions {
     RuntimeOptions runtime;
     const Workload* workload = nullptr;
-    SharingPlan plan;  ///< uniform mode: the incumbent plan at the cut
-    std::shared_ptr<const MultiEnginePlan> multi_plan;  ///< non-uniform mode
+    SharingPlan plan;  ///< uniform workload: the incumbent plan at the cut
+    std::shared_ptr<const MultiEnginePlan> multi_plan;  ///< set: used instead
   };
 
   /// Outcome of Restore: a ready-to-ingest runtime (not yet started) or a
@@ -377,15 +390,14 @@ class ShardedRuntime {
  private:
   friend class IngestPartition;
 
-  /// Checks the common-grouping invariant and records workload size /
-  /// partition attribute; sets error_ and returns false on violation.
+  /// Checks the common-grouping invariant; sets error_ and returns false
+  /// on violation.
   bool ValidateForSharding(const Workload& workload);
   /// Validates ingest options (partitions > 1 need a disorder policy)
   /// and creates the partition handles; false on violation.
   bool InitIngest();
-  void InitShardsUniform(const Workload& workload, const SharingPlan& plan);
-  void InitShardsMulti(const Workload& workload,
-                       std::shared_ptr<const MultiEnginePlan> plan);
+  /// Builds every shard from `plan`, then ingest, telemetry and merger.
+  void InitShards(std::shared_ptr<const MultiEnginePlan> plan);
   /// Builds the telemetry hub and hands every shard/partition its cells
   /// and ring (no-op when options_.obs is off). Runs after InitIngest.
   void InitTelemetry();
@@ -402,8 +414,8 @@ class ShardedRuntime {
   /// control-op boundaries are computed from.
   Timestamp IngestHighMark() const;
   /// Boundary of a control op requested now: the close of the last window
-  /// covering the ingest high-mark (the high-mark itself for MultiEngine
-  /// workloads, which have several window grids).
+  /// covering the ingest high-mark (the high-mark itself for a plan of
+  /// several segments, which have several window grids).
   Timestamp ControlBoundary() const;
   /// Refusal of a control op's own checks (code kNone = passed).
   struct ControlCheck {
@@ -422,11 +434,8 @@ class ShardedRuntime {
   std::string error_;
   RuntimeOptions options_;
   AttrIndex partition_ = kNoAttr;
-  size_t workload_size_ = 0;
-  const Workload* workload_ = nullptr;  ///< uniform ctor only (swap support)
-  WindowSpec window_;                   ///< uniform ctor only
-  CompiledPlanHandle compiled_;         ///< uniform ctor only (fingerprint)
-  std::shared_ptr<const MultiEnginePlan> multi_plan_;  ///< multi ctors only
+  /// The plan every shard's executor was built from (immutable).
+  std::shared_ptr<const MultiEnginePlan> plan_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<std::unique_ptr<IngestPartition>> partitions_;
   /// Telemetry hub (src/obs/); null unless options_.obs enables it. Its

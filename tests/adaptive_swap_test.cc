@@ -330,6 +330,63 @@ TEST(AdaptiveSwap, ShardRefusalUnwindsStagedCommands) {
   ExpectBitIdentical(c.oracle, CellsOf(rt), "post-unwind swap");
 }
 
+// A plan of several segments has several window grids and no one
+// boundary to cut at: the runtime refuses the swap with kNotUniform, and
+// so does each shard's control slot.
+TEST(AdaptiveSwap, RefusedOnTwoSegmentPlan) {
+  AdaptiveCase c = MakeDriftCase();
+  Workload w = c.workload;
+  Query other = w.query(0);
+  other.window = {Seconds(6), Seconds(3)};  // a second segment
+  w.Add(other);
+  RuntimeOptions opts;
+  opts.num_shards = 2;
+  opts.disorder.enabled = true;
+  ShardedRuntime rt(w, CostModel(TypeRates(std::vector<double>(8, 1.0))), {},
+                    opts);
+  ASSERT_TRUE(rt.ok()) << rt.error();
+  std::string error;
+  CompiledPlanHandle handle = CompilePlanShared(c.workload, {}, &error);
+  ASSERT_TRUE(handle) << error;
+
+  const ShardedRuntime::SwapRequest req = rt.RequestPlanSwap(handle);
+  EXPECT_FALSE(req.accepted);
+  EXPECT_EQ(req.code, runtime::OpRefusal::kNotUniform) << req.reason;
+  runtime::ControlCommand cmd;
+  cmd.kind = runtime::ControlKind::kSwap;
+  cmd.plan = handle;
+  EXPECT_FALSE(rt.shard_for_test(0).PushControl(cmd));
+  EXPECT_EQ(rt.shard_for_test(0).control_in_flight(),
+            runtime::ControlKind::kNone);
+}
+
+// A uniform workload through the cost-model constructor is a one-segment
+// plan: it accepts a swap, and the results stay exact.
+TEST(AdaptiveSwap, UniformWorkloadFromCostModelAcceptsSwap) {
+  AdaptiveCase c = MakeDriftCase();
+  RuntimeOptions opts;
+  opts.num_shards = 2;
+  opts.disorder.enabled = true;
+  opts.disorder.max_lateness = Seconds(1);
+  ShardedRuntime rt(c.workload,
+                    CostModel(RatesOfSlice(c.events, 0, c.config.phase_length,
+                                           c.config.num_types)),
+                    {}, opts);
+  ASSERT_TRUE(rt.ok()) << rt.error();
+  std::string error;
+  CompiledPlanHandle handle = CompilePlanShared(c.workload, {}, &error);
+  ASSERT_TRUE(handle) << error;
+
+  rt.Start();
+  for (size_t i = 0; i < 1000; ++i) rt.Ingest(c.events[i]);
+  const ShardedRuntime::SwapRequest req = rt.RequestPlanSwap(handle);
+  ASSERT_TRUE(req.accepted) << req.reason;
+  for (size_t i = 1000; i < c.events.size(); ++i) rt.Ingest(c.events[i]);
+  rt.Finish();
+  ASSERT_EQ(rt.stats().CompletedSwaps(), 1u);
+  ExpectBitIdentical(c.oracle, CellsOf(rt), "cost-model uniform swap");
+}
+
 // The swap rejects a plan compiled for a different workload outright.
 TEST(AdaptiveSwap, RefusesForeignPlan) {
   AdaptiveCase c = MakeDriftCase();

@@ -355,6 +355,79 @@ TEST(CheckpointRefusal, VersionMismatchRefusesRestore) {
   std::filesystem::remove_all(dir);
 }
 
+// A manifest of format v2 (which still carried the executor-mode byte)
+// is refused on its version before any of its fields is trusted.
+TEST(CheckpointRefusal, FormatV2ManifestRefusesRestore) {
+  CheckpointFixture f = MakeFixture();
+  const std::string dir = CheckpointPrefix(f, 1, 1500, "v2");
+  checkpoint::Manifest m;
+  const std::string manifest_path =
+      dir + "/" + checkpoint::kManifestFileName;
+  ASSERT_EQ(checkpoint::LoadManifest(manifest_path, &m), "");
+  serde::BinaryWriter w;  // the v2 field layout
+  w.U32(2);
+  w.U64(m.checkpoint_id);
+  w.I64(m.boundary);
+  w.U8(1);  // mode: uniform Engine shards
+  w.U64(m.num_shards);
+  w.U64(m.num_segments);
+  w.U32(m.partition);
+  w.U64(m.plan_fingerprint);
+  w.U8(1);
+  w.I64(m.disorder.max_lateness);
+  w.U8(m.disorder.evict ? 1 : 0);
+  w.U8(m.disorder.close_on_finish ? 1 : 0);
+  w.I64(m.merged_watermark);
+  w.I64(m.ingest_high_mark);
+  w.U64(m.swaps_requested);
+  w.U64(m.events_ingested);
+  std::vector<uint8_t> bytes;
+  checkpoint::AppendFrame(bytes, checkpoint::FrameTag::kManifest, w.buffer());
+  checkpoint::AppendFrame(bytes, checkpoint::FrameTag::kEnd, {});
+  ASSERT_EQ(checkpoint::WriteFileBytes(manifest_path, bytes), "");
+
+  ShardedRuntime::RestoreOutcome restored = RestoreAt(f, dir, 1);
+  EXPECT_FALSE(restored.runtime);
+  EXPECT_NE(restored.error.find("file has v2"), std::string::npos)
+      << restored.error;
+  std::filesystem::remove_all(dir);
+}
+
+// A checkpoint of a two-segment plan cannot be rebuilt from a sharing
+// plan alone: restore without RestoreOptions::multi_plan says so.
+TEST(CheckpointRefusal, TwoSegmentCheckpointNeedsMultiPlan) {
+  CheckpointFixture f = MakeFixture();
+  Workload w = f.workload;
+  Query other = w.query(0);
+  other.window = {Seconds(6), Seconds(3)};  // a second segment
+  w.Add(other);
+  const auto plan =
+      PlanMultiEngine(w, CostModel(TypeRates(std::vector<double>(32, 1.0))));
+  ASSERT_TRUE(plan->ok()) << plan->error;
+  ASSERT_EQ(plan->segments.size(), 2u);
+  const std::string dir = FreshDir("two_segments");
+  {
+    ShardedRuntime rt(w, plan, FixtureOptions(2));
+    ASSERT_TRUE(rt.ok()) << rt.error();
+    rt.Start();
+    for (size_t i = 0; i < 1500; ++i) rt.Ingest(f.arrivals[i]);
+    const ShardedRuntime::CheckpointResult cp = rt.Checkpoint(dir);
+    ASSERT_TRUE(cp.ok) << cp.reason;
+  }
+  ShardedRuntime::RestoreOptions ropts;
+  ropts.runtime = FixtureOptions(2);
+  ropts.workload = &w;
+  ropts.plan = f.plan;
+  ShardedRuntime::RestoreOutcome restored = ShardedRuntime::Restore(dir, ropts);
+  EXPECT_FALSE(restored.runtime);
+  EXPECT_NE(restored.error.find("multi_plan is required"), std::string::npos)
+      << restored.error;
+  ropts.multi_plan = plan;
+  restored = ShardedRuntime::Restore(dir, ropts);
+  EXPECT_TRUE(restored.runtime) << restored.error;
+  std::filesystem::remove_all(dir);
+}
+
 TEST(CheckpointRefusal, TornCheckpointWithoutManifestRefusesRestore) {
   CheckpointFixture f = MakeFixture();
   const std::string dir = CheckpointPrefix(f, 2, 1500, "torn");

@@ -156,6 +156,9 @@ struct SlotFixture {
   CompiledPlanHandle initial =
       CompilePlanShared(c.workload, c.initial_plan, &error);
   CompiledPlanHandle next = CompilePlanShared(c.workload, c.swap_plan, &error);
+  /// The one-segment plan a shard runs (Shard's only constructor).
+  std::shared_ptr<const MultiEnginePlan> plan =
+      PlanUniformEngine(c.workload, c.initial_plan);
 };
 
 // A staged command of either kind holds the one slot: the other kind and a
@@ -163,7 +166,7 @@ struct SlotFixture {
 TEST(ShardControlSlot, StagedCommandRefusesBothKinds) {
   SlotFixture f;
   ASSERT_TRUE(f.initial && f.next) << f.error;
-  Shard shard(0, f.c.workload, f.initial, SlotOptions());
+  Shard shard(0, f.plan, SlotOptions());
   ASSERT_TRUE(shard.ok()) << shard.error();
   const std::string dir = ::testing::TempDir();
 
@@ -196,7 +199,7 @@ TEST(ShardControlSlot, StagedCommandRefusesBothKinds) {
 TEST(ShardControlSlot, CancelAfterPickupIsANoOp) {
   SlotFixture f;
   ASSERT_TRUE(f.initial && f.next) << f.error;
-  Shard shard(0, f.c.workload, f.initial, SlotOptions());
+  Shard shard(0, f.plan, SlotOptions());
   ASSERT_TRUE(shard.ok()) << shard.error();
   shard.Start();
 
@@ -245,7 +248,7 @@ TEST(ShardControlSlot, SpuriousMarkerIsIgnored) {
   ASSERT_TRUE(f.initial) << f.error;
   auto run = [&](size_t marker_every) {
     auto shard =
-        std::make_unique<Shard>(0, f.c.workload, f.initial, SlotOptions());
+        std::make_unique<Shard>(0, f.plan, SlotOptions());
     shard->Start();
     std::vector<Event> batch;
     for (size_t i = 0; i < f.c.arrivals.size(); ++i) {

@@ -10,6 +10,7 @@
 
 #include "src/checkpoint/checkpoint.h"
 #include "src/exec/engine.h"
+#include "src/exec/multi_engine.h"
 #include "src/twostep/reference.h"
 
 namespace sharon {
@@ -264,18 +265,19 @@ TEST(EngineSweepTest, ResultsInvariantUnderPunctuationPeriod) {
   }
 }
 
-/// Restores `src` into `dst` through the checkpoint frame encoding.
-void RestoreViaCheckpoint(const Engine& src, Engine& dst) {
+/// Restores the one segment engine of `src` into `dst` through the
+/// checkpoint frame encoding.
+void RestoreViaCheckpoint(const MultiEngine& src, Engine& dst) {
   checkpoint::ShardCheckpointInput in;
   in.num_shards = 1;
-  in.engine = &src;
+  in.executor = &src;
   checkpoint::ShardCheckpointData data;
   ASSERT_EQ(checkpoint::DecodeShardCheckpoint(
                 checkpoint::EncodeShardCheckpoint(in), &data),
             "");
   ASSERT_EQ(data.segments.size(), 1u);
   const auto& seg = data.segments[0];
-  dst.SetDisorderPolicy(src.disorder_policy());
+  dst.SetDisorderPolicy(src.engines()[0]->disorder_policy());
   dst.RestoreScalarState(seg.scalars);
   for (const auto& [g, payload] : seg.groups) {
     serde::BinaryReader r(payload);
@@ -305,15 +307,18 @@ TEST(EngineSweepTest, MidSlideRestoreContinuesBitIdentical) {
   const Timestamp cut_time = 12 * kSlide + kSlide / 2;
   size_t cut = 0;
   while (events[cut].time <= cut_time) ++cut;
-  Engine before(w, SweepPlan());
-  before.SetDisorderPolicy(SweepPolicy());
-  FeedPunctuated(before, events, 0, cut, kPeriod);
+  // Shards checkpoint a MultiEngine; a uniform workload is one segment.
+  MultiEngine before(PlanUniformEngine(w, SweepPlan()));
+  ASSERT_TRUE(before.ok()) << before.error();
+  Engine& before_engine = *before.mutable_segment_engine(0);
+  before_engine.SetDisorderPolicy(SweepPolicy());
+  FeedPunctuated(before_engine, events, 0, cut, kPeriod);
 
   Engine after(w, SweepPlan());
   RestoreViaCheckpoint(before, after);
   if (HasFatalFailure()) return;
   const uint64_t restored_sweeps = after.watermark_stats().state_sweeps;
-  EXPECT_EQ(restored_sweeps, before.watermark_stats().state_sweeps);
+  EXPECT_EQ(restored_sweeps, before_engine.watermark_stats().state_sweeps);
 
   // The restored engine starts with its epoch unset: the first release
   // sweeps once even though no boundary was crossed.

@@ -72,6 +72,57 @@ TEST(MultiEngineTest, ResultsMatchPerSegmentReference) {
   }
 }
 
+// A query retired before planning stays retired in its segment: it is
+// neither executed nor reported, and the active queries of both segments
+// match their solo reference.
+TEST(MultiEngineTest, RetiredQueryIsNotExecuted) {
+  Workload w;
+  w.Add(MakeQuery({kA, kB}, 10, 5));
+  const QueryId retired = w.Add(MakeQuery({kA, kC}, 10, 5));
+  w.Add(MakeQuery({kA, kB}, 20, 10));  // second segment
+  w.SetActive(retired, false);
+  CostModel cm(TypeRates({1, 1, 1}));
+  MultiEngine me(w, cm);
+  ASSERT_TRUE(me.ok()) << me.error();
+  ASSERT_EQ(me.num_segments(), 2u);
+
+  std::vector<Event> stream = {Ev(kA, 1), Ev(kB, 3),  Ev(kC, 4),
+                               Ev(kA, 7), Ev(kB, 11), Ev(kC, 14)};
+  me.Run(stream, 20);
+  size_t active_cells = 0;
+  me.ForEachCell([&](const ResultKey& key, const AggState&) {
+    EXPECT_NE(key.query, retired);
+    ++active_cells;
+  });
+  size_t expected_cells = 0;
+  for (const Query& q : w.queries()) {
+    if (!w.active(q.id)) continue;
+    Workload solo;
+    solo.Add(q);
+    ResultCollector ref = ReferenceResults(solo, stream);
+    expected_cells += ref.size();
+    for (WindowId j = 0; j <= q.window.LastWindowCovering(14); ++j) {
+      EXPECT_EQ(me.Value(q.id, j, 0, AggFunction::kCountStar),
+                ref.Value(0, j, 0, AggFunction::kCountStar))
+          << "query " << q.id << " window " << j;
+    }
+  }
+  ASSERT_GT(expected_cells, 0u);
+  EXPECT_EQ(active_cells, expected_cells);
+}
+
+// A segment whose queries are all retired has nothing to compile:
+// planning fails with the compile diagnostic.
+TEST(MultiEngineTest, AllRetiredSegmentFailsPlanning) {
+  Workload w;
+  w.Add(MakeQuery({kA, kB}, 10, 5));
+  const QueryId retired = w.Add(MakeQuery({kA, kB}, 20, 10));
+  w.SetActive(retired, false);
+  const auto plan = PlanMultiEngine(w, CostModel(TypeRates({1, 1, 1})));
+  EXPECT_FALSE(plan->ok());
+  EXPECT_EQ(plan->error, "no active queries");
+}
+
 TEST(MultiEngineTest, SharingHappensWithinSegments) {
   Workload w;
   w.Add(MakeQuery({kA, kB, kC}, 100, 10));

@@ -296,6 +296,122 @@ TEST(ChurnLifecycle, DeferredDuringInFlightSwap) {
   }
 }
 
+uint64_t SwapsRejected(const ShardedRuntime& rt) {
+  for (const auto& c : rt.TelemetrySnapshot().counters) {
+    if (c.name == "sharon_swaps_rejected_total") return c.value;
+  }
+  return 0;
+}
+
+// While a plan swap is in flight, pending churn neither compiles a plan
+// nor asks the runtime for a swap it can only refuse: the runtime's
+// swap-rejected counter stays put. The churn still commits at the first
+// punctuation that finds no swap in flight, at the window close covering
+// the ingest high-mark there, and the cells equal the interval oracle.
+TEST(ChurnLifecycle, InFlightSwapSkipsChurnCompile) {
+  ChurnFixture f = MakeFixture();
+  RuntimeOptions opts = FixtureOptions(2);
+  // Batches leave only on Flush, so a worker sees a punctuation only
+  // after the manager's retry for it ran: retries are deterministic.
+  opts.batch_size = 1 << 16;
+  opts.obs.metrics = true;
+  ShardedRuntime rt(f.workload, f.plan, opts);
+  ASSERT_TRUE(rt.ok()) << rt.error();
+  PlanManagerOptions mopts;
+  mopts.epoch = Seconds(1000);  // no drift evaluation inside the stream
+  PlanManager mgr(f.workload, &rt, f.plan, mopts);
+  QueryRegistry reg(&f.workload);
+  mgr.AttachRegistry(&reg);
+  std::string error;
+  CompiledPlanHandle handle = CompilePlanShared(f.workload, {}, &error);
+  ASSERT_TRUE(handle) << error;
+
+  rt.Start();
+  Timestamp high_mark = 0;
+  Timestamp fed_watermark = kNoWatermark;
+  Timestamp retire_cap = kWatermarkMax;  // the in-flight swap retires here
+  // Lets the workers apply everything fed so far, including the swap
+  // retirement the last punctuation implies (a shard publishes its
+  // watermark before applying it).
+  auto settle = [&] {
+    rt.Flush();
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    auto wait = [&](auto&& busy) {
+      while (busy() && std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    };
+    for (size_t s = 0; s < rt.num_shards(); ++s) {
+      wait([&] { return rt.shard_for_test(s).watermark() < fed_watermark; });
+    }
+    if (fed_watermark >= retire_cap) wait([&] { return rt.SwapInFlight(); });
+  };
+  // Feeds arrival `i`; returns whether a swap was in flight when the
+  // manager saw it.
+  auto feed = [&](size_t i) {
+    const Event& e = f.arrivals[i];
+    if (IsWatermark(e)) {
+      settle();
+      fed_watermark = e.time;
+    } else {
+      high_mark = std::max(high_mark, e.time);
+    }
+    const bool in_flight = rt.SwapInFlight();
+    mgr.Ingest(e);
+    return in_flight;
+  };
+  size_t i = 0;
+  for (; i < 1000; ++i) feed(i);
+  const ShardedRuntime::SwapRequest direct = rt.RequestPlanSwap(handle);
+  ASSERT_TRUE(direct.accepted) << direct.reason;
+  ASSERT_TRUE(rt.SwapInFlight());
+  retire_cap = direct.boundary + opts.disorder.max_lateness;
+  const uint64_t rejected = SwapsRejected(rt);
+
+  const ChurnResult r = mgr.RegisterQuery(FixtureChurnQuery(f.workload));
+  ASSERT_TRUE(r.accepted) << r.reason;
+  EXPECT_EQ(mgr.last_churn_swap().code, OpRefusal::kSwapInFlight);
+  EXPECT_EQ(SwapsRejected(rt), rejected);
+
+  Timestamp expected_boundary = kNoWatermark;
+  for (; i < f.arrivals.size() && mgr.pending_churn() > 0; ++i) {
+    const bool punctuation = IsWatermark(f.arrivals[i]);
+    const bool in_flight = feed(i);
+    if (punctuation && !in_flight) {
+      expected_boundary =
+          kWindow.WindowEnd(kWindow.LastWindowCovering(high_mark));
+    }
+    EXPECT_EQ(mgr.pending_churn() == 0, punctuation && !in_flight)
+        << "arrival " << i;
+  }
+  ASSERT_EQ(mgr.pending_churn(), 0u) << "churn never committed";
+  EXPECT_GE(mgr.stats().churn_swap_retries, 2u);
+  EXPECT_EQ(SwapsRejected(rt), rejected);
+  EXPECT_EQ(mgr.last_churn_swap().boundary, expected_boundary);
+  ASSERT_EQ(reg.intervals(r.id).size(), 1u);
+  EXPECT_EQ(reg.intervals(r.id)[0].from, expected_boundary);
+  retire_cap = mgr.last_churn_swap().boundary + opts.disorder.max_lateness;
+  for (; i < f.arrivals.size(); ++i) feed(i);
+  rt.Finish();
+  EXPECT_EQ(SwapsRejected(rt), rejected);
+  EXPECT_EQ(mgr.stats().swaps_requested, 0u);
+
+  CellMap expected;
+  ReferenceResults(f.workload, f.sorted)
+      .ForEachCell([&](const ResultKey& key, const AggState& state) {
+        if (reg.OwnsWindowClose(key.query, kWindow.WindowEnd(key.window))) {
+          expected[{key.query, key.window, key.group}] = state;
+        }
+      });
+  CellMap actual;
+  rt.results().ForEachCell([&](const ResultKey& key, const AggState& state) {
+    actual[{key.query, key.window, key.group}] = state;
+  });
+  ASSERT_FALSE(expected.empty());
+  EXPECT_EQ(actual, expected);
+}
+
 // Same deferral discipline against an in-flight checkpoint: typed
 // kCheckpointInFlight, later commit, checkpoint still seals.
 TEST(ChurnLifecycle, DeferredDuringInFlightCheckpoint) {
@@ -371,12 +487,6 @@ TEST(ChurnLifecycle, RetiredIdReadableAfterCheckpointRestore) {
     // enough to exhaust the stream before they apply its watermarks.
     size_t i = f.arrivals.size() * 7 / 10;
     for (size_t j = churn_at; j < i; ++j) mgr.Ingest(f.arrivals[j]);
-    auto swap_in_flight = [&rt] {
-      for (size_t s = 0; s < rt.num_shards(); ++s) {
-        if (rt.shard_for_test(s).swap_in_flight()) return true;
-      }
-      return false;
-    };
     auto caught_up = [&rt, &f, &i] {
       Timestamp fed = kNoWatermark;
       for (size_t j = i; j-- > 0;) {
@@ -398,11 +508,11 @@ TEST(ChurnLifecycle, RetiredIdReadableAfterCheckpointRestore) {
       rt.Flush();
       const auto deadline =
           std::chrono::steady_clock::now() + std::chrono::seconds(10);
-      while (swap_in_flight() && (i == f.arrivals.size() || !caught_up()) &&
+      while (rt.SwapInFlight() && (i == f.arrivals.size() || !caught_up()) &&
              std::chrono::steady_clock::now() < deadline) {
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
       }
-      if (!swap_in_flight()) continue;
+      if (!rt.SwapInFlight()) continue;
       ASSERT_LT(i, f.arrivals.size()) << "swap never retired";
       for (size_t n = 0; n < 200 && i < f.arrivals.size(); ++n) {
         mgr.Ingest(f.arrivals[i++]);

@@ -9,7 +9,9 @@ Two classes of reference are verified across the repo's markdown files:
 2. Backtick code references like ``src/exec/engine.h:Engine`` or
    ``tests/adaptive_swap_test.cc`` — the file must exist, and when a
    ``:Symbol`` suffix is given the symbol must literally occur in that
-   file. This is what keeps docs/PAPER_MAP.md honest as code moves.
+   file. A numeric suffix ``:NN`` or ``:NN-MM`` is a line citation: the
+   file must have at least NN (MM) lines. This is what keeps
+   docs/PAPER_MAP.md honest as code moves.
 
 Exit code 0 when everything resolves, 1 otherwise (one line per problem).
 
@@ -25,13 +27,14 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
-# `path/to/file.ext` or `path/to/file.ext:Symbol` inside backticks; only
-# repo-rooted paths are checked (src/, tests/, bench/, examples/, docs/,
-# tools/, .github/).
+# `path/to/file.ext`, `path/to/file.ext:Symbol` or `path/to/file.ext:NN`
+# / `:NN-MM` (line citations) inside backticks; only repo-rooted paths are
+# checked (src/, tests/, bench/, examples/, docs/, tools/, .github/).
 CODE_REF_RE = re.compile(
     r"`((?:src|tests|bench|examples|docs|tools|\.github)/[A-Za-z0-9_./-]+"
-    r"\.(?:h|cc|cpp|md|py|yml))(?::([A-Za-z0-9_:~]+))?`"
+    r"\.(?:h|cc|cpp|md|py|yml))(?::(\d+(?:-\d+)?|[A-Za-z0-9_:~]+))?`"
 )
+LINES_RE = re.compile(r"\d+(?:-(\d+))?")
 
 
 def tracked_markdown():
@@ -62,11 +65,23 @@ def check_file(md: Path) -> list:
                 f"{md.relative_to(REPO)}: missing file reference -> {path}"
             )
             continue
-        if symbol:
+        if not symbol:
+            continue
+        content = resolved.read_text(encoding="utf-8")
+        lines = LINES_RE.fullmatch(symbol)
+        if lines:
+            # `file.h:NN` / `file.h:NN-MM` — a line citation.
+            last = int(lines.group(1) or symbol)
+            if len(content.splitlines()) < last:
+                problems.append(
+                    f"{md.relative_to(REPO)}: {path} has fewer than "
+                    f"{last} lines (cited as :{symbol})"
+                )
+        else:
             # `file.h:Symbol` — the symbol (last :: component) must occur
             # literally in the file.
             needle = symbol.split("::")[-1]
-            if needle not in resolved.read_text(encoding="utf-8"):
+            if needle not in content:
                 problems.append(
                     f"{md.relative_to(REPO)}: {path} no longer defines "
                     f"'{needle}'"
